@@ -42,14 +42,20 @@ void BM_AddressCacheMissAndInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_AddressCacheMissAndInsert);
 
+// Home-node translation in a replica of `threads` UPC threads holding 32
+// objects in ALL and one in each of 32 thread partitions spread across
+// the thread range: the find() behind every AM-served access.
 void BM_SvdTranslate(benchmark::State& state) {
-  svd::Directory dir(64);
+  const auto threads = static_cast<std::uint32_t>(state.range(0));
+  svd::Directory dir(threads);
   std::vector<svd::Handle> handles;
-  for (int i = 0; i < 32; ++i) {
+  for (std::uint32_t i = 0; i < 32; ++i) {
     svd::ControlBlock cb;
     cb.local_base = 0x10000 + i * 0x1000;
     cb.local_bytes = 0x1000;
     handles.push_back(dir.add_local(svd::kAllPartition, 0, cb));
+    const std::uint32_t t = i * (threads / 32);
+    handles.push_back(dir.add_local(t, t, cb));
   }
   sim::Rng rng(7);
   for (auto _ : state) {
@@ -57,7 +63,18 @@ void BM_SvdTranslate(benchmark::State& state) {
     benchmark::DoNotOptimize(dir.translate(h, rng.below(0x1000)));
   }
 }
-BENCHMARK(BM_SvdTranslate);
+BENCHMARK(BM_SvdTranslate)->Arg(64)->Arg(8192);
+
+// Building and dropping one empty replica: the per-node set-up cost a
+// Runtime pays once per node.
+void BM_DirectoryConstruct(benchmark::State& state) {
+  const auto threads = static_cast<std::uint32_t>(state.range(0));
+  for (auto _ : state) {
+    svd::Directory dir(threads);
+    benchmark::DoNotOptimize(dir);
+  }
+}
+BENCHMARK(BM_DirectoryConstruct)->Arg(64)->Arg(8192);
 
 void BM_PinnedTableQuery(benchmark::State& state) {
   mem::PinnedAddressTable table(mem::PinStrategy::kChunked, {});

@@ -37,23 +37,32 @@ LayoutSpec from_wire(const net::WireLayout& w) {
 
 // ===================================================== Runtime basics ===
 
-Runtime::Runtime(RuntimeConfig cfg)
-    : cfg_(std::move(cfg)),
-      machine_(sim_, cfg_.platform,
-               net::MachineConfig{cfg_.nodes, cfg_.threads_per_node,
-                                  cfg_.faults, cfg_.fabric}) {
-  if (cfg_.nodes == 0 || cfg_.threads_per_node == 0) {
+RuntimeConfig Runtime::validated(RuntimeConfig cfg) {
+  if (cfg.nodes == 0 || cfg.threads_per_node == 0) {
     throw std::invalid_argument("Runtime: nodes/threads must be positive");
   }
-  if (cfg_.threads_per_node > cfg_.platform.max_cores_per_node) {
+  if (cfg.threads_per_node > cfg.platform.max_cores_per_node) {
     throw std::invalid_argument(
         "Runtime: threads_per_node exceeds the platform's cores per node");
   }
-  if (cfg_.cache.full_table &&
-      cfg_.pin_strategy != mem::PinStrategy::kGreedy) {
+  // The n + 1 SVD partitions (n threads plus ALL) must be numbered, and
+  // counted, in 32 bits.
+  if (std::uint64_t{cfg.nodes} * cfg.threads_per_node >= svd::kAllPartition) {
+    throw std::invalid_argument(
+        "Runtime: too many threads for 32-bit SVD partitions");
+  }
+  if (cfg.cache.full_table && cfg.pin_strategy != mem::PinStrategy::kGreedy) {
     throw std::invalid_argument(
         "Runtime: full-table resolution requires greedy pinning");
   }
+  return cfg;
+}
+
+Runtime::Runtime(RuntimeConfig cfg)
+    : cfg_(validated(std::move(cfg))),
+      machine_(sim_, cfg_.platform,
+               net::MachineConfig{cfg_.nodes, cfg_.threads_per_node,
+                                  cfg_.faults, cfg_.fabric}) {
   transport_ = net::make_transport(machine_, *this);
 
   mem::PinLimits limits;

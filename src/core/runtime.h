@@ -370,6 +370,10 @@ class Runtime final : public net::AmTarget {
 
   Node& node(NodeId n) { return nodes_.at(n); }
 
+  // Reject a bad shape before any member sized by it is constructed, so
+  // a huge or wrapping request fails with a clear error instead of OOM.
+  static RuntimeConfig validated(RuntimeConfig cfg);
+
   // Allocation plumbing.
   sim::Task<ArrayDesc> all_alloc_spec(UpcThread& th, LayoutSpec spec);
   sim::Task<ArrayDesc> global_alloc_spec(UpcThread& th, LayoutSpec spec,

@@ -8,20 +8,17 @@ Directory::Directory(std::uint32_t threads) : threads_(threads) {
   if (threads == 0) {
     throw std::invalid_argument("Directory: thread count must be positive");
   }
-  partitions_.resize(static_cast<std::size_t>(threads) + 1);
 }
 
-Directory::Partition& Directory::partition_for(std::uint32_t partition) {
-  if (partition == kAllPartition) return partitions_.back();
-  if (partition >= threads_) {
+void Directory::check(std::uint32_t partition) const {
+  if (partition != kAllPartition && partition >= threads_) {
     throw std::out_of_range("Directory: bad partition number");
   }
-  return partitions_[partition];
 }
 
-const Directory::Partition& Directory::partition_for(
-    std::uint32_t partition) const {
-  return const_cast<Directory*>(this)->partition_for(partition);
+void Directory::insert(Handle h, const ControlBlock& cb, Counters& counters) {
+  if (entries_.emplace(h.pack(), cb).second) ++counters.live;
+  ++adds_;
 }
 
 Handle Directory::add_local(std::uint32_t partition, ThreadId writer,
@@ -33,32 +30,37 @@ Handle Directory::add_local(std::uint32_t partition, ThreadId writer,
     throw std::logic_error(
         "Directory::add_local: thread may only write its own partition");
   }
-  Partition& part = partition_for(partition);
-  const std::uint32_t index = part.next_index++;
-  part.entries.emplace(index, cb);
-  ++adds_;
-  return Handle{partition, index};
+  check(partition);
+  Counters& counters = counters_[partition];
+  if (counters.next_index > 0xffffffffu) {
+    throw std::length_error(
+        "Directory::add_local: partition index space exhausted");
+  }
+  const Handle h{partition, static_cast<std::uint32_t>(counters.next_index++)};
+  insert(h, cb, counters);
+  return h;
 }
 
 void Directory::add_remote(Handle h, std::uint64_t total_bytes,
                            ObjectKind kind) {
-  Partition& part = partition_for(h.partition);
+  check(h.partition);
+  Counters& counters = counters_[h.partition];
+  // Keep index allocation ahead of remotely-announced handles so a later
+  // local allocation cannot collide (an announced 0xffffffff exhausts the
+  // partition rather than wrapping next_index to 0).
+  if (h.index >= counters.next_index) counters.next_index = h.index + 1ull;
   ControlBlock cb;
   cb.kind = kind;
   cb.total_bytes = total_bytes;
   // No local address: translation for this object is impossible on this
   // replica — that is the point of the design.
-  part.entries.emplace(h.index, cb);
-  // Keep index allocation ahead of remotely-announced handles so a later
-  // local allocation cannot collide.
-  if (h.index >= part.next_index) part.next_index = h.index + 1;
-  ++adds_;
+  insert(h, cb, counters);
 }
 
 ControlBlock* Directory::find(Handle h) {
-  Partition& part = partition_for(h.partition);
-  auto it = part.entries.find(h.index);
-  return it == part.entries.end() ? nullptr : &it->second;
+  check(h.partition);
+  auto it = entries_.find(h.pack());
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
 const ControlBlock* Directory::find(Handle h) const {
@@ -82,20 +84,17 @@ Addr Directory::translate(Handle h, std::uint64_t offset) const {
 }
 
 bool Directory::remove(Handle h) {
-  Partition& part = partition_for(h.partition);
-  const bool erased = part.entries.erase(h.index) > 0;
-  if (erased) ++removes_;
-  return erased;
+  check(h.partition);
+  if (entries_.erase(h.pack()) == 0) return false;
+  --counters_.find(h.partition)->second.live;
+  ++removes_;
+  return true;
 }
 
 std::size_t Directory::partition_size(std::uint32_t partition) const {
-  return partition_for(partition).entries.size();
-}
-
-std::size_t Directory::size() const {
-  std::size_t total = 0;
-  for (const auto& p : partitions_) total += p.entries.size();
-  return total;
+  check(partition);
+  const auto it = counters_.find(partition);
+  return it == counters_.end() ? 0 : it->second.live;
 }
 
 }  // namespace xlupc::svd

@@ -1,9 +1,12 @@
 // The Shared Variable Directory (paper Sec. 2.1).
 //
 // One Directory replica exists per node. On a system with n UPC threads it
-// has n + 1 partitions: partition k lists the shared variables affine to
-// thread k; the ALL partition holds variables allocated statically or
-// through collective operations. Each partition has a single writer (the
+// has n + 1 logical partitions: partition k lists the shared variables
+// affine to thread k; the ALL partition holds variables allocated
+// statically or through collective operations. Partitions are the
+// `partition` field of a handle, not storage: a replica keeps one flat
+// table of the objects it knows about, so its size follows the objects,
+// not the global thread count. Each partition has a single writer (the
 // owning thread), so allocation requires no locks; remote replicas learn
 // of allocations through notification messages and hold control blocks
 // WITHOUT local addresses — translation from handle to memory address
@@ -13,7 +16,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "common/types.h"
 #include "svd/handle.h"
@@ -41,7 +43,7 @@ struct ControlBlock {
 class Directory {
  public:
   /// `threads` = total number of UPC threads (partitions 0..threads-1
-  /// plus the ALL partition).
+  /// plus the ALL partition). Construction allocates nothing.
   explicit Directory(std::uint32_t threads);
 
   std::uint32_t threads() const noexcept { return threads_; }
@@ -49,7 +51,8 @@ class Directory {
   /// Append a locally-known object to `partition`, enforcing the
   /// single-writer rule: only thread `writer` may append to its own
   /// partition; any thread may append to ALL (collective allocations are
-  /// already synchronized). Returns the new handle.
+  /// already synchronized). Returns the new handle. Throws
+  /// std::length_error once the partition's 2^32 indices are used up.
   Handle add_local(std::uint32_t partition, ThreadId writer, ControlBlock cb);
 
   /// Record a remotely-allocated object announced by a notification.
@@ -73,23 +76,27 @@ class Directory {
   std::size_t partition_size(std::uint32_t partition) const;
 
   /// Total live entries across all partitions.
-  std::size_t size() const;
+  std::size_t size() const noexcept { return entries_.size(); }
 
   /// Lifetime counters (consistency diagnostics).
   std::uint64_t adds() const noexcept { return adds_; }
   std::uint64_t removes() const noexcept { return removes_; }
 
  private:
-  struct Partition {
-    std::unordered_map<std::uint32_t, ControlBlock> entries;
-    std::uint32_t next_index = 0;
+  /// Per-partition counters, created when the partition is first written.
+  /// `next_index` is 64-bit so an exhausted index space is representable.
+  struct Counters {
+    std::uint64_t next_index = 0;
+    std::size_t live = 0;
   };
 
-  Partition& partition_for(std::uint32_t partition);
-  const Partition& partition_for(std::uint32_t partition) const;
+  /// Throws std::out_of_range unless `partition` is a thread's or ALL.
+  void check(std::uint32_t partition) const;
+  void insert(Handle h, const ControlBlock& cb, Counters& counters);
 
   std::uint32_t threads_;
-  std::vector<Partition> partitions_;  // [0..threads-1] + ALL at the end
+  std::unordered_map<std::uint64_t, ControlBlock> entries_;  // Handle::pack()
+  std::unordered_map<std::uint32_t, Counters> counters_;     // by partition
   std::uint64_t adds_ = 0;
   std::uint64_t removes_ = 0;
 };

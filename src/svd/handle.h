@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 namespace xlupc::svd {
 
@@ -30,12 +29,6 @@ struct Handle {
   }
 
   bool is_all() const { return partition == kAllPartition; }
-};
-
-struct HandleHash {
-  std::size_t operator()(const Handle& h) const noexcept {
-    return std::hash<std::uint64_t>{}(h.pack());
-  }
 };
 
 }  // namespace xlupc::svd

@@ -42,6 +42,19 @@ TEST(Runtime, ConfigValidation) {
   EXPECT_THROW(Runtime rt(std::move(cfg)), std::invalid_argument);
 }
 
+// Each shape is rejected before the machine model allocates its nodes and
+// cores: building any of them first would take gigabytes or wrap.
+TEST(Runtime, BadShapesAreRejectedBeforeAllocation) {
+  EXPECT_THROW(Runtime(gm_config(4, 0)), std::invalid_argument);
+  // Far beyond the blade's 4 cores: 2^30 core resources per node.
+  EXPECT_THROW(Runtime(gm_config(2, 1u << 30)), std::invalid_argument);
+  // 2^30 x 4 = 2^32 threads: RuntimeConfig::threads() would wrap to 0.
+  EXPECT_THROW(Runtime(gm_config(1u << 30, 4)), std::invalid_argument);
+  // 0x55555555 x 3 = 0xffffffff threads: the count reaches the ALL
+  // partition number, so n + 1 partitions no longer count in 32 bits.
+  EXPECT_THROW(Runtime(gm_config(0x55555555u, 3)), std::invalid_argument);
+}
+
 TEST(Runtime, AllAllocGivesSameHandleEverywhere) {
   Runtime rt(gm_config(4, 2));
   std::vector<svd::Handle> handles(rt.threads());

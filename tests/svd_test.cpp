@@ -132,6 +132,60 @@ TEST(Directory, ZeroThreadsRejected) {
   EXPECT_THROW(Directory dir(0), std::invalid_argument);
 }
 
+TEST(Directory, HugeThreadCountCostsNothingUntilWritten) {
+  // Partitions are logical: a replica for 2^30 threads holds only what
+  // it is told about, so the last thread's partition works at once.
+  const std::uint32_t threads = 1u << 30;
+  Directory dir(threads);
+  EXPECT_EQ(dir.size(), 0u);
+  const std::uint32_t last = threads - 1;
+  ControlBlock cb;
+  cb.local_base = 0x4000;
+  cb.local_bytes = 64;
+  const Handle h = dir.add_local(last, last, cb);
+  EXPECT_EQ(h, (Handle{last, 0}));
+  ASSERT_NE(dir.find(h), nullptr);
+  EXPECT_EQ(dir.translate(h, 8), 0x4008u);
+  EXPECT_EQ(dir.partition_size(last), 1u);
+  EXPECT_EQ(dir.partition_size(0), 0u);
+  EXPECT_TRUE(dir.remove(h));
+  EXPECT_EQ(dir.find(h), nullptr);
+  EXPECT_EQ(dir.size(), 0u);
+}
+
+TEST(Directory, OutOfRangePartitionThrowsEverywhere) {
+  Directory dir(4);
+  const Handle bad{4, 0};
+  EXPECT_THROW(dir.add_local(4, 4, ControlBlock{}), std::out_of_range);
+  EXPECT_THROW(dir.add_remote(bad, 64, ObjectKind::kArray),
+               std::out_of_range);
+  EXPECT_THROW(dir.find(bad), std::out_of_range);
+  EXPECT_THROW(dir.remove(bad), std::out_of_range);
+  EXPECT_THROW(dir.partition_size(4), std::out_of_range);
+  EXPECT_THROW(dir.translate(bad, 0), std::out_of_range);
+  EXPECT_EQ(dir.size(), 0u);
+}
+
+TEST(Directory, ExhaustedIndexSpaceThrowsInsteadOfWrapping) {
+  Directory dir(2);
+  // Remote path: an announced last index leaves nothing to allocate;
+  // wrapping to 0 would alias a live object.
+  const Handle first = dir.add_local(0, 0, ControlBlock{});
+  dir.add_remote(Handle{0, 0xffffffffu}, 64, ObjectKind::kArray);
+  EXPECT_THROW(dir.add_local(0, 0, ControlBlock{}), std::length_error);
+  EXPECT_NE(dir.find(first), nullptr);
+  EXPECT_EQ(dir.partition_size(0), 2u);
+  // Local path: the partition's own counter runs off the end.
+  dir.add_remote(Handle{1, 0xfffffffeu}, 64, ObjectKind::kArray);
+  EXPECT_EQ(dir.add_local(1, 1, ControlBlock{}).index, 0xffffffffu);
+  EXPECT_THROW(dir.add_local(1, 1, ControlBlock{}), std::length_error);
+  EXPECT_EQ(dir.partition_size(1), 2u);
+  // ALL is exhausted the same way.
+  dir.add_remote(Handle{kAllPartition, 0xffffffffu}, 64, ObjectKind::kArray);
+  EXPECT_THROW(dir.add_local(kAllPartition, 1, ControlBlock{}),
+               std::length_error);
+}
+
 class DirectoryChurnProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(DirectoryChurnProperty, AllocFreeChurnKeepsCountsConsistent) {
