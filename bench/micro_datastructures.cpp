@@ -113,6 +113,31 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
+// A deep queue in steady state: N events pending, and each pop
+// schedules one successor 256 ns to 4 us later, the delay mix measured
+// in the perfbench workloads (hundreds to thousands pending).
+struct HoldEvent {
+  sim::EventQueue* q;
+  sim::Rng* rng;
+  sim::Time t;
+  void operator()() const {
+    const sim::Time next = t + 256 + rng->below(3841);
+    q->schedule(next, HoldEvent{q, rng, next});
+  }
+};
+
+void BM_EventQueueHold(benchmark::State& state) {
+  sim::EventQueue q;
+  sim::Rng rng(19);
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    const sim::Time t = rng.below(4096);
+    q.schedule(t, HoldEvent{&q, &rng, t});
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(q.pop_and_run());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueHold)->Arg(256)->Arg(4096);
+
 void BM_RngBelow(benchmark::State& state) {
   sim::Rng rng(17);
   for (auto _ : state) {

@@ -1,131 +1,84 @@
 #include "sim/event_queue.h"
 
-#include <cstdlib>
-#include <cstring>
-#include <new>
+#include <bit>
+#include <stdexcept>
 #include <utility>
 
 namespace xlupc::sim {
 
-SchedulerBackend default_scheduler_backend() noexcept {
-  const char* env = std::getenv("XLUPC_SIM_SCHEDULER");
-  if (env != nullptr && std::strcmp(env, "heap") == 0) {
-    return SchedulerBackend::kHeap;
-  }
-  return SchedulerBackend::kPairing;
+std::size_t EventQueue::free_slots() const noexcept {
+  std::size_t n = 0;
+  for (std::uint32_t s = free_; s != kNil; s = keys_[s].next) ++n;
+  return n;
 }
 
-EventQueue::EventQueue(SchedulerBackend backend) : backend_(backend) {}
-
-EventQueue::~EventQueue() {
-  if (backend_ == SchedulerBackend::kPairing && root_ != nullptr) {
-    // Destroy still-pending events (an aborted run); free-listed blocks
-    // hold no live node. Iterative walk — the child/sibling chain can be
-    // as deep as the queue is long.
-    merge_scratch_.clear();
-    merge_scratch_.push_back(root_);
-    while (!merge_scratch_.empty()) {
-      Node* n = merge_scratch_.back();
-      merge_scratch_.pop_back();
-      if (n->child != nullptr) merge_scratch_.push_back(n->child);
-      if (n->sibling != nullptr) merge_scratch_.push_back(n->sibling);
-      n->~Node();
+// Append `slot` to the tail of its bucket.
+void EventQueue::push(std::uint32_t slot) noexcept {
+  const Time t = keys_[slot].time;
+  const int b = std::bit_width(t ^ floor_);
+  if (tail_[b] == kNil) {
+    head_[b] = slot;
+    if (b != 0) {
+      min_[b] = t;
+      mask_ |= std::uint64_t{1} << (b - 1);
     }
+  } else {
+    keys_[tail_[b]].next = slot;
+    if (t < min_[b]) min_[b] = t;
   }
-  for (void* chunk : arena_chunks_) ::operator delete(chunk);
+  tail_[b] = slot;
 }
 
-void* EventQueue::alloc_block() {
-  void* p = free_blocks_;
-  if (p != nullptr) {
-    free_blocks_ = *static_cast<void**>(p);
-    --arena_free_count_;
-    return p;
+// Bucket 0 is empty: raise the floor to the minimum of the lowest
+// non-empty bucket and redistribute that bucket, in order, below it.
+void EventQueue::refill() noexcept {
+  const int b = lowest_bucket();
+  floor_ = min_[b];
+  std::uint32_t s = head_[b];
+  head_[b] = tail_[b] = kNil;
+  mask_ &= mask_ - 1;
+  while (s != kNil) {
+    const std::uint32_t next = keys_[s].next;
+    keys_[s].next = kNil;
+    push(s);
+    s = next;
   }
-  // Carve a fresh 64 KiB chunk wholesale into the freelist; capacity
-  // only ever grows, so steady-state simulation stops allocating.
-  constexpr std::size_t kNodesPerChunk = (64 * 1024) / sizeof(Node);
-  auto* base =
-      static_cast<char*>(::operator new(kNodesPerChunk * sizeof(Node)));
-  arena_chunks_.push_back(base);
-  arena_capacity_ += kNodesPerChunk;
-  for (std::size_t i = 1; i < kNodesPerChunk; ++i) {
-    void* block = base + i * sizeof(Node);
-    *static_cast<void**>(block) = free_blocks_;
-    free_blocks_ = block;
-  }
-  arena_free_count_ += kNodesPerChunk - 1;
-  return base;
-}
-
-void EventQueue::release_block(void* p) noexcept {
-  *static_cast<void**>(p) = free_blocks_;
-  free_blocks_ = p;
-  ++arena_free_count_;
-}
-
-// Detach the minimum node: two-pass sibling merge of the root's children.
-EventQueue::Node* EventQueue::pop_min_pairing() {
-  Node* min = root_;
-  Node* first = min->child;
-  if (first == nullptr) {
-    root_ = nullptr;
-    return min;
-  }
-  // Pass 1: meld children pairwise, left to right.
-  merge_scratch_.clear();
-  while (first != nullptr) {
-    Node* second = first->sibling;
-    first->sibling = nullptr;
-    if (second == nullptr) {
-      merge_scratch_.push_back(first);
-      break;
-    }
-    Node* next = second->sibling;
-    second->sibling = nullptr;
-    merge_scratch_.push_back(meld(first, second));
-    first = next;
-  }
-  // Pass 2: fold right to left.
-  Node* merged = merge_scratch_.back();
-  for (std::size_t i = merge_scratch_.size() - 1; i-- > 0;) {
-    merged = meld(merge_scratch_[i], merged);
-  }
-  root_ = merged;
-  return min;
 }
 
 void EventQueue::schedule(Time t, Callback fn) {
-  if (backend_ == SchedulerBackend::kPairing) {
-    Node* n = ::new (alloc_block())
-        Node{t, next_seq_++, nullptr, nullptr, std::move(fn)};
-    root_ = root_ == nullptr ? n : meld(root_, n);
-  } else {
-    heap_.push(Event{t, next_seq_++, std::move(fn)});
+  if (t < floor_) {
+    throw std::logic_error("EventQueue::schedule: time in the past");
   }
+  std::uint32_t s = free_;
+  if (s != kNil) {
+    free_ = keys_[s].next;
+    fns_[s] = std::move(fn);
+  } else {
+    s = static_cast<std::uint32_t>(keys_.size());
+    keys_.emplace_back();
+    fns_.push_back(std::move(fn));
+  }
+  keys_[s] = Key{t, kNil};
+  push(s);
   ++size_;
 }
 
 Time EventQueue::pop_and_run() {
-  ++executed_;
+  if (head_[0] == kNil) refill();
+  const std::uint32_t s = head_[0];
+  head_[0] = keys_[s].next;
+  if (head_[0] == kNil) tail_[0] = kNil;
+  // Move the callback out and free the slot *before* running, so the
+  // callback can schedule freely (often straight back into the slot it
+  // just vacated — cache-hot by construction).
+  Callback fn = std::move(fns_[s]);
+  keys_[s].next = free_;
+  free_ = s;
   --size_;
-  if (backend_ == SchedulerBackend::kPairing) {
-    Node* n = pop_min_pairing();
-    const Time t = n->time;
-    // Move the callback out and recycle the block *before* running, so
-    // the callback can schedule freely (often straight back into the
-    // block it just vacated — cache-hot by construction).
-    Callback fn = std::move(n->fn);
-    n->~Node();
-    release_block(n);
-    fn();
-    return t;
-  }
-  // Move the callback out before popping so it can reschedule freely.
-  Event ev = std::move(const_cast<Event&>(heap_.top()));
-  heap_.pop();
-  ev.fn();
-  return ev.time;
+  ++executed_;
+  const Time t = floor_;
+  fn();
+  return t;
 }
 
 }  // namespace xlupc::sim

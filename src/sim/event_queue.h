@@ -1,28 +1,31 @@
 // Time-ordered event queue for the discrete-event simulator.
 //
-// Events with equal timestamps are delivered in insertion order (FIFO),
-// which makes every simulation deterministic: the key is the pair
-// (time, seq) with seq a monotone schedule counter, a strict total
-// order, so every backend pops the exact same sequence and whole runs
-// stay byte-identical whichever scheduler is selected.
+// A radix heap keyed on simulated time (docs/PERFORMANCE.md). It relies
+// on simulated time being monotone: schedule() rejects a time before
+// the last popped one, so every pending key t satisfies t >= floor_,
+// the time of the last pop. An event lives in bucket bit_width(t ^
+// floor_): bucket 0 holds the events due at floor_ itself, bucket b > 0
+// those whose highest bit differing from floor_ is bit b - 1. Pops drain
+// bucket 0; when it is empty, the lowest non-empty bucket is scanned
+// once in order, floor_ rises to its minimum, and each of its events
+// moves to a lower bucket (they are all empty), so every event moves at
+// most 64 times in its life and usually only a few.
 //
-// Two backends (docs/PERFORMANCE.md):
-//  * kPairing (default) — a pairing heap over arena/freelist nodes.
-//    schedule() is O(1) (one meld), pop is amortized O(log n) (two-pass
-//    sibling merge), and nodes never move after construction, so the
-//    callback payload is built once and run in place. The node arena
-//    recycles freed nodes LIFO; steady state allocates nothing.
-//  * kHeap — the pre-refactor binary heap (std::priority_queue), kept as
-//    the reference scheduler: bench/simspeed measures the fast path
-//    against it and tests assert both produce identical runs.
+// Equal-time events are delivered in schedule order (FIFO), which makes
+// every simulation deterministic: events with one time always share a
+// bucket, every bucket is a FIFO list, and the scan keeps their order.
 //
-// Backend selection: explicit constructor argument, or the
-// XLUPC_SIM_SCHEDULER environment variable ("pairing" | "heap") for
-// whole-process experiments; anything else falls back to kPairing.
+// Storage is one slab of slots, reused LIFO and never shrunk, so steady
+// state allocates nothing and memory is bounded by the peak number of
+// pending events. Each slot has a 16-byte key {time, next} in `keys_`
+// and a callback in `fns_`: a bucket is a list threaded through the
+// keys' `next` links, so buckets own no storage of their own, and the
+// scan walks the small key array without touching the callbacks.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "sim/callback.h"
@@ -30,28 +33,20 @@
 
 namespace xlupc::sim {
 
-enum class SchedulerBackend : std::uint8_t {
-  kPairing,  ///< pairing heap + node arena (fast path, default)
-  kHeap,     ///< binary heap of (time, seq, callback) (legacy reference)
-};
-
-/// Resolve XLUPC_SIM_SCHEDULER ("pairing" | "heap"); kPairing otherwise.
-SchedulerBackend default_scheduler_backend() noexcept;
-
 /// Min-queue of timed callbacks with stable FIFO ordering for ties.
 class EventQueue {
  public:
   using Callback = sim::Callback;
 
-  explicit EventQueue(
-      SchedulerBackend backend = default_scheduler_backend());
+  EventQueue() {
+    head_.fill(kNil);
+    tail_.fill(kNil);
+  }
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
-  ~EventQueue();
 
-  SchedulerBackend backend() const noexcept { return backend_; }
-
-  /// Schedule `fn` to run at absolute time `t`.
+  /// Schedule `fn` to run at absolute time `t`. Throws std::logic_error
+  /// if `t` is before the time of the last popped event.
   void schedule(Time t, Callback fn);
 
   /// True when no events remain.
@@ -61,10 +56,15 @@ class EventQueue {
   std::size_t size() const noexcept { return size_; }
 
   /// Timestamp of the earliest pending event. Precondition: !empty().
-  Time next_time() const {
-    return backend_ == SchedulerBackend::kPairing ? root_->time
-                                                  : heap_.top().time;
+  /// Does not advance the floor, so events may still be scheduled at
+  /// any time >= the last popped one after a peek.
+  Time next_time() const noexcept {
+    return head_[0] != kNil ? floor_ : min_[lowest_bucket()];
   }
+
+  /// Time of the last popped event (0 before the first): the simulation
+  /// clock, and the earliest time schedule() accepts.
+  Time now() const noexcept { return floor_; }
 
   /// Remove and run the earliest event; returns its timestamp.
   Time pop_and_run();
@@ -72,62 +72,35 @@ class EventQueue {
   /// Total number of events executed so far (for micro-benchmarks/tests).
   std::uint64_t executed() const noexcept { return executed_; }
 
-  /// Pairing-heap arena occupancy (tests: reuse under churn). Both count
-  /// nodes; capacity never shrinks, so steady state means
-  /// arena_capacity() stops growing while events keep flowing.
-  std::size_t arena_capacity() const noexcept { return arena_capacity_; }
-  std::size_t arena_free() const noexcept { return arena_free_count_; }
+  /// Slab occupancy (tests: reuse under churn). slab_capacity() never
+  /// shrinks, so steady state means it stops growing while events keep
+  /// flowing; free_slots() walks the free list.
+  std::size_t slab_capacity() const noexcept { return keys_.size(); }
+  std::size_t free_slots() const noexcept;
 
  private:
-  // --- pairing-heap backend ---------------------------------------
-  struct Node {
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  static constexpr int kBuckets = 65;
+
+  struct Key {
     Time time;
-    std::uint64_t seq;
-    Node* child;    // leftmost child (higher key)
-    Node* sibling;  // next sibling / freelist link
-    Callback fn;
+    std::uint32_t next;  // bucket FIFO link, or free-list link
   };
 
-  // Meld two heaps; the (time, seq) minimum becomes the root.
-  static Node* meld(Node* a, Node* b) noexcept {
-    if (b->time < a->time || (b->time == a->time && b->seq < a->seq)) {
-      Node* t = a;
-      a = b;
-      b = t;
-    }
-    b->sibling = a->child;
-    a->child = b;
-    return a;
-  }
+  // Lowest non-empty bucket above 0. Precondition: mask_ != 0.
+  int lowest_bucket() const noexcept { return std::countr_zero(mask_) + 1; }
+  void push(std::uint32_t slot) noexcept;
+  void refill() noexcept;
 
-  void* alloc_block();
-  void release_block(void* p) noexcept;
-  Node* pop_min_pairing();
-
-  Node* root_ = nullptr;
-  void* free_blocks_ = nullptr;  // raw-storage freelist, linked in place
-  std::vector<void*> arena_chunks_;
-  std::size_t arena_capacity_ = 0;
-  std::size_t arena_free_count_ = 0;
-  std::vector<Node*> merge_scratch_;  // reused across pops (no realloc)
-
-  // --- legacy binary-heap backend ----------------------------------
-  struct Event {
-    Time time;
-    std::uint64_t seq;
-    mutable Callback fn;  // moved out of top() before pop
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
-
-  SchedulerBackend backend_;
+  std::vector<Key> keys_;
+  std::vector<Callback> fns_;
+  std::uint32_t free_ = kNil;  // LIFO free-slot list through Key::next
+  std::array<std::uint32_t, kBuckets> head_;
+  std::array<std::uint32_t, kBuckets> tail_;
+  std::array<Time, kBuckets> min_{};  // per-bucket minimum (buckets > 0)
+  std::uint64_t mask_ = 0;            // bit b - 1 set: bucket b non-empty
+  Time floor_ = 0;
   std::size_t size_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
 };
 

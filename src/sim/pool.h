@@ -2,7 +2,7 @@
 //
 // The discrete-event hot path allocates millions of small, short-lived
 // blocks per simulated second: coroutine frames for every Task<> in a
-// co_await chain, heap-spilled callbacks, pairing-heap nodes. glibc
+// co_await chain, heap-spilled callbacks, message payloads. glibc
 // malloc/free dominated the event loop before this pool existed (~2.8
 // mallocs per simulated event on the fig9 stressmark mix). The pool
 // replaces them with LIFO freelists binned by size class, so a block
@@ -53,7 +53,7 @@ const PoolStats& pool_stats() noexcept;
 
 /// Route future allocations straight to operator new (the pre-pool
 /// behaviour). Existing blocks stay valid: frees consult the per-block
-/// header. Only flip this between simulations (bench/simspeed --mode).
+/// header. Only flip this between simulations.
 void pool_set_bypass(bool on) noexcept;
 bool pool_bypass() noexcept;
 

@@ -1,6 +1,5 @@
 #include "sim/simulator.h"
 
-#include <stdexcept>
 #include <utility>
 
 namespace xlupc::sim {
@@ -11,13 +10,6 @@ Simulator::~Simulator() {
   // callbacks and synchronizer waiter lists hold the handles non-owning,
   // so destroying each driver frame here releases its whole chain.
   while (!drivers_.empty()) drivers_.front().destroy();
-}
-
-void Simulator::schedule_at(Time t, EventQueue::Callback fn) {
-  if (t < now_) {
-    throw std::logic_error("Simulator::schedule_at: time in the past");
-  }
-  queue_.schedule(t, std::move(fn));
 }
 
 Simulator::Detached Simulator::drive(Task<> task) {
@@ -45,21 +37,17 @@ void Simulator::rethrow_if_failed() {
 }
 
 Time Simulator::run() {
-  while (!queue_.empty() && !failure_) {
-    now_ = queue_.next_time();
-    queue_.pop_and_run();
-  }
+  while (!queue_.empty() && !failure_) queue_.pop_and_run();
   rethrow_if_failed();
-  return now_;
+  return now();
 }
 
 Time Simulator::run_until(Time deadline) {
   while (!queue_.empty() && !failure_ && queue_.next_time() <= deadline) {
-    now_ = queue_.next_time();
     queue_.pop_and_run();
   }
   rethrow_if_failed();
-  return now_;
+  return now();
 }
 
 }  // namespace xlupc::sim

@@ -11,6 +11,7 @@
 #include <exception>
 #include <functional>
 #include <list>
+#include <utility>
 
 #include "sim/event_queue.h"
 #include "sim/metrics.h"
@@ -22,29 +23,28 @@ namespace xlupc::sim {
 
 class Simulator {
  public:
-  /// The scheduler backend defaults to the pairing heap (or the
-  /// XLUPC_SIM_SCHEDULER override — docs/PERFORMANCE.md); either backend
-  /// produces byte-identical runs.
-  explicit Simulator(
-      SchedulerBackend backend = default_scheduler_backend())
-      : queue_(backend) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
   ~Simulator();
 
-  /// Current simulated time.
-  Time now() const noexcept { return now_; }
+  /// Current simulated time: the time of the event being run (or of
+  /// the last one run).
+  Time now() const noexcept { return queue_.now(); }
 
-  /// Schedule a callback at absolute simulated time `t` (>= now).
-  void schedule_at(Time t, EventQueue::Callback fn);
+  /// Schedule a callback at absolute simulated time `t` (>= now; throws
+  /// std::logic_error otherwise).
+  void schedule_at(Time t, EventQueue::Callback fn) {
+    queue_.schedule(t, std::move(fn));
+  }
 
   /// Schedule a callback `d` nanoseconds from now.
   void schedule_after(Duration d, EventQueue::Callback fn) {
-    schedule_at(now_ + d, std::move(fn));
+    schedule_at(now() + d, std::move(fn));
   }
 
   /// Schedule a callback at the current time (runs after the current event).
-  void post(EventQueue::Callback fn) { schedule_at(now_, std::move(fn)); }
+  void post(EventQueue::Callback fn) { schedule_at(now(), std::move(fn)); }
 
   /// Resume a suspended coroutine at the current time — the dominant
   /// event payload, stored as a bare handle (no capture, no allocation).
@@ -54,7 +54,7 @@ class Simulator {
 
   /// Resume a suspended coroutine `d` nanoseconds from now.
   void schedule_resume_after(Duration d, std::coroutine_handle<> h) {
-    schedule_at(now_ + d, Callback::resume(h));
+    schedule_at(now() + d, Callback::resume(h));
   }
 
   /// Awaitable that suspends the caller for `d` simulated nanoseconds.
@@ -94,9 +94,6 @@ class Simulator {
   MetricsRegistry& metrics() noexcept { return metrics_; }
   const MetricsRegistry& metrics() const noexcept { return metrics_; }
 
-  /// The event queue (scheduler-backend introspection for tests/benches).
-  const EventQueue& queue() const noexcept { return queue_; }
-
  private:
   struct Detached {
     struct promise_type : PooledFrame {
@@ -127,7 +124,6 @@ class Simulator {
   void rethrow_if_failed();
 
   EventQueue queue_;
-  Time now_ = 0;
   std::uint64_t live_ = 0;
   std::exception_ptr failure_;
   std::list<std::coroutine_handle<>> drivers_;

@@ -1,22 +1,21 @@
-// Scheduler-backend and allocator tests for the fast simulator core
-// (docs/PERFORMANCE.md): equal-time FIFO ordering on both event-queue
-// backends, byte-identical whole runs across backends on every machine
-// model, arena/pool reuse under churn, and the small-buffer-optimized
+// Event-queue and allocator tests for the simulator core
+// (docs/PERFORMANCE.md): the radix-heap EventQueue against a reference
+// priority queue on random schedules, host scheduling between run_until
+// calls, slab reuse under churn, the pool, and the small-buffer-optimized
 // callback types.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdlib>
-#include <string>
+#include <functional>
+#include <queue>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "benchsupport/report.h"
-#include "core/runtime.h"
-#include "net/machine_registry.h"
 #include "sim/callback.h"
 #include "sim/event_queue.h"
 #include "sim/pool.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 
 namespace xlupc {
@@ -24,133 +23,163 @@ namespace {
 
 using sim::Callback;
 using sim::EventQueue;
-using sim::SchedulerBackend;
 using sim::SmallFn;
 
 // ------------------------------------------------------------------
-// Event-queue ordering, per backend
+// Event order against a reference queue
 // ------------------------------------------------------------------
 
-TEST(SchedulerBackends, EqualTimeEventsRunFifoOnBothBackends) {
-  for (SchedulerBackend b :
-       {SchedulerBackend::kPairing, SchedulerBackend::kHeap}) {
-    EventQueue q(b);
-    std::vector<int> order;
-    // Interleave two timestamps so FIFO must hold per time, not
-    // globally: expected pop order is all of t=5 (0..15), then t=9.
-    for (int i = 0; i < 16; ++i) {
-      q.schedule(5, [&order, i] { order.push_back(i); });
-      q.schedule(9, [&order, i] { order.push_back(100 + i); });
+// The definition of the order every run depends on: earliest time
+// first, ties in schedule order — a binary heap keyed by (time, seq)
+// with seq a monotone schedule counter.
+class ReferenceQueue {
+ public:
+  void schedule(sim::Time t, std::function<void()> fn) {
+    heap_.push(Entry{t, seq_++, std::move(fn)});
+  }
+  bool empty() const { return heap_.empty(); }
+  sim::Time pop_and_run() {
+    Entry e = heap_.top();
+    heap_.pop();
+    e.fn();
+    return e.time;
+  }
+
+ private:
+  struct Entry {
+    sim::Time time;
+    std::uint64_t seq;
+    std::function<void()> fn;
+    bool operator>(const Entry& o) const {
+      return time != o.time ? time > o.time : seq > o.seq;
     }
-    while (!q.empty()) q.pop_and_run();
-    ASSERT_EQ(order.size(), 32u);
-    for (int i = 0; i < 16; ++i) {
-      EXPECT_EQ(order[i], i) << "backend " << static_cast<int>(b);
-      EXPECT_EQ(order[16 + i], 100 + i) << "backend " << static_cast<int>(b);
+  };
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+  std::uint64_t seq_ = 0;
+};
+
+// Run one seeded random schedule on `Queue` and return the popped
+// (time, event id) sequence. Events reschedule from inside their
+// callbacks; delays are zero, short (1-8 ns) or log-uniform up to
+// 2^40 ns, and every 16th event schedules a burst of 40 at one time.
+template <class Queue>
+std::vector<std::pair<sim::Time, int>> replay(std::uint64_t seed) {
+  Queue q;
+  sim::Rng rng(seed);
+  std::vector<std::pair<sim::Time, int>> popped;
+  int next_id = 0;
+  auto delay = [&rng]() -> sim::Duration {
+    switch (rng.below(4)) {
+      case 0:
+        return 0;
+      case 1:
+        return 1 + rng.below(8);
+      default: {
+        const sim::Duration scale = sim::Duration{1} << rng.below(40);
+        return scale + rng.below(scale);
+      }
     }
+  };
+  std::function<void(sim::Time, int)> fire;
+  auto add = [&](sim::Time t) {
+    const int id = next_id++;
+    q.schedule(t, [&fire, t, id] { fire(t, id); });
+  };
+  fire = [&](sim::Time now, int id) {
+    popped.emplace_back(now, id);
+    if (next_id >= 20000) return;
+    for (std::uint64_t k = rng.below(3); k > 0; --k) add(now + delay());
+    if (id % 16 == 0) {
+      const sim::Time burst = now + delay();
+      for (int k = 0; k < 40; ++k) add(burst);
+    }
+  };
+  for (int i = 0; i < 300; ++i) add(delay());
+  for (int i = 0; i < 100; ++i) add(7);
+  while (!q.empty()) q.pop_and_run();
+  return popped;
+}
+
+TEST(EventQueueOrder, MatchesReferenceOnRandomSchedules) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const auto want = replay<ReferenceQueue>(seed);
+    ASSERT_GT(want.size(), 5000u);
+    EXPECT_EQ(replay<EventQueue>(seed), want) << "seed " << seed;
   }
 }
 
-TEST(SchedulerBackends, BackendsPopIdenticalSequences) {
-  // A pseudo-random schedule, including re-scheduling from inside
-  // callbacks, must pop identically on both backends: the (time, seq)
-  // key is a strict total order, so the pop sequence is unique.
-  auto run = [](SchedulerBackend b) {
-    EventQueue q(b);
-    std::vector<std::pair<sim::Time, int>> seen;
-    std::uint64_t x = 88172645463325252ull;
-    auto rnd = [&x] {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      return x;
+TEST(EventQueueOrder, InterleavedEqualTimesRunFifo) {
+  EventQueue q;
+  std::vector<int> order;
+  // Interleave two timestamps so FIFO must hold per time, not
+  // globally: expected pop order is all of t=5 (0..15), then t=9.
+  for (int i = 0; i < 16; ++i) {
+    q.schedule(5, [&order, i] { order.push_back(i); });
+    q.schedule(9, [&order, i] { order.push_back(100 + i); });
+  }
+  while (!q.empty()) q.pop_and_run();
+  ASSERT_EQ(order.size(), 32u);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(order[i], i);
+    EXPECT_EQ(order[16 + i], 100 + i);
+  }
+}
+
+TEST(EventQueueOrder, HostScheduleBetweenRunUntilCalls) {
+  // Peeking at the next event (run_until's deadline test) must not
+  // advance the queue's floor: host code may still schedule anywhere
+  // between the last event run and the next one pending.
+  sim::Simulator sim;
+  std::vector<sim::Time> ran;
+  for (sim::Time t : {10, 20, 30}) {
+    sim.schedule_at(t, [&ran, &sim] { ran.push_back(sim.now()); });
+  }
+  EXPECT_EQ(sim.run_until(20), 20u);
+  sim.schedule_at(25, [&ran, &sim] { ran.push_back(sim.now()); });
+  sim.run();
+  EXPECT_EQ(ran, (std::vector<sim::Time>{10, 20, 25, 30}));
+}
+
+TEST(EventQueueOrder, SchedulingBeforeLastPopThrows) {
+  EventQueue q;
+  q.schedule(10, [] {});
+  q.schedule(20, [] {});
+  EXPECT_EQ(q.pop_and_run(), 10u);
+  EXPECT_EQ(q.next_time(), 20u);
+  EXPECT_THROW(q.schedule(9, [] {}), std::logic_error);
+  q.schedule(10, [] {});  // at the last popped time: still accepted
+  q.schedule(15, [] {});
+  EXPECT_EQ(q.pop_and_run(), 10u);
+  EXPECT_EQ(q.pop_and_run(), 15u);
+  EXPECT_EQ(q.pop_and_run(), 20u);
+  EXPECT_TRUE(q.empty());
+}
+
+// ------------------------------------------------------------------
+// Slab / pool reuse under churn
+// ------------------------------------------------------------------
+
+TEST(EventQueueStorage, SlabStopsGrowingUnderChurn) {
+  // Buckets are lists threaded through the slab's keys, so the slab is
+  // the queue's only storage. Prime it with one round that holds 512
+  // events pending while each pop schedules a successor, then churn:
+  // capacity must stay at the high-water mark.
+  EventQueue q;
+  sim::Rng rng(5);
+  auto round = [&q, &rng] {
+    int budget = 4096;
+    std::function<void()> hold = [&] {
+      if (--budget >= 0) q.schedule(q.now() + 256 + rng.below(3841), hold);
     };
-    for (int i = 0; i < 200; ++i) {
-      const sim::Time t = rnd() % 50;
-      q.schedule(t, [&seen, &q, &rnd, t, i] {
-        seen.emplace_back(t, i);
-        if (seen.size() % 3 == 0) {
-          q.schedule(t + 1 + seen.size() % 7, [&seen, t] {
-            seen.emplace_back(t + 1000, -1);
-          });
-        }
-      });
-    }
-    while (!q.empty()) q.pop_and_run();
-    return seen;
-  };
-  EXPECT_EQ(run(SchedulerBackend::kPairing), run(SchedulerBackend::kHeap));
-}
-
-TEST(SchedulerBackends, EnvSelectsBackend) {
-  ::setenv("XLUPC_SIM_SCHEDULER", "heap", 1);
-  EXPECT_EQ(sim::default_scheduler_backend(), SchedulerBackend::kHeap);
-  ::setenv("XLUPC_SIM_SCHEDULER", "pairing", 1);
-  EXPECT_EQ(sim::default_scheduler_backend(), SchedulerBackend::kPairing);
-  ::setenv("XLUPC_SIM_SCHEDULER", "nonsense", 1);
-  EXPECT_EQ(sim::default_scheduler_backend(), SchedulerBackend::kPairing);
-  ::unsetenv("XLUPC_SIM_SCHEDULER");
-}
-
-// ------------------------------------------------------------------
-// Cross-backend byte-identical whole runs, every machine model
-// ------------------------------------------------------------------
-
-std::string run_fingerprint(const char* machine) {
-  core::RuntimeConfig cfg;
-  cfg.platform = net::make_machine(machine);
-  cfg.nodes = 4;
-  cfg.threads_per_node = 2;
-  core::Runtime rt(std::move(cfg));
-  rt.run([](core::UpcThread& th) -> sim::Task<void> {
-    core::ArrayDesc a = co_await th.all_alloc(256, sizeof(std::uint64_t));
-    co_await th.barrier();
-    std::uint64_t pos = (th.id() * 13) % 256;
-    for (int i = 0; i < 24; ++i) {
-      const std::uint64_t v = co_await th.read<std::uint64_t>(a, pos);
-      co_await th.write<std::uint64_t>(a, (pos + 7) % 256, v + 1);
-      pos = (pos + 31) % 256;
-      co_await th.compute(50);
-    }
-    co_await th.fence();
-    co_await th.barrier();
-  });
-  // The full observability snapshot serialized: any divergence in
-  // timing, counters, resource accounting or event count shows up here.
-  return bench::to_json(rt.metrics()).dump_string() + "|" +
-         std::to_string(rt.simulator().events_executed()) + "|" +
-         std::to_string(rt.elapsed());
-}
-
-TEST(SchedulerBackends, WholeRunsIdenticalAcrossBackends) {
-  for (const char* machine : {"gm", "lapi", "ib"}) {
-    ::setenv("XLUPC_SIM_SCHEDULER", "pairing", 1);
-    const std::string pairing = run_fingerprint(machine);
-    ::setenv("XLUPC_SIM_SCHEDULER", "heap", 1);
-    const std::string heap = run_fingerprint(machine);
-    ::unsetenv("XLUPC_SIM_SCHEDULER");
-    EXPECT_EQ(pairing, heap) << "machine " << machine;
-  }
-}
-
-// ------------------------------------------------------------------
-// Arena / pool reuse under churn
-// ------------------------------------------------------------------
-
-TEST(SchedulerBackends, PairingArenaStopsGrowingUnderChurn) {
-  EventQueue q(SchedulerBackend::kPairing);
-  // Prime the arena with one full round, then churn: capacity must not
-  // grow once the high-water mark of pending events is reached.
-  auto round = [&q](sim::Time base) {
-    for (int i = 0; i < 64; ++i) q.schedule(base + i % 8, [] {});
+    for (int i = 0; i < 512; ++i) q.schedule(q.now() + rng.below(4096), hold);
     while (!q.empty()) q.pop_and_run();
   };
-  round(0);
-  const std::size_t cap = q.arena_capacity();
-  ASSERT_GT(cap, 0u);
-  for (int r = 1; r < 50; ++r) round(r * 100);
-  EXPECT_EQ(q.arena_capacity(), cap);
-  EXPECT_EQ(q.arena_free(), cap);  // drained queue: every node recycled
+  round();
+  const std::size_t cap = q.slab_capacity();
+  ASSERT_GE(cap, 512u);
+  for (int r = 0; r < 20; ++r) round();
+  EXPECT_EQ(q.slab_capacity(), cap);
+  EXPECT_EQ(q.free_slots(), cap);  // drained queue: every slot free
 }
 
 TEST(PoolAllocator, ReusesFreedBlocksWithoutNewChunks) {
@@ -170,7 +199,7 @@ TEST(PoolAllocator, ReusesFreedBlocksWithoutNewChunks) {
 
 TEST(PoolAllocator, TaggedHeadersSurviveModeSwitches) {
   // Blocks are tagged with their origin, so frees dispatch correctly
-  // even across pool_set_bypass flips (the simspeed --mode switch).
+  // even across pool_set_bypass flips.
   ASSERT_FALSE(sim::pool_bypass());
   void* pooled = sim::pool_alloc(64);
   sim::pool_set_bypass(true);
