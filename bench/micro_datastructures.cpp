@@ -1,13 +1,16 @@
 // Wall-clock microbenchmarks (google-benchmark) of the real data
 // structures on the critical paths: the remote address cache probe that
 // sits in front of every remote access, SVD translation, memory
-// registration bookkeeping and the simulator's event queue.
+// registration bookkeeping, the simulator's event queue and the
+// congestion fabric's hop walk.
 #include <benchmark/benchmark.h>
 
 #include "core/address_cache.h"
 #include "mem/address_space.h"
 #include "mem/pinned_table.h"
 #include "mem/registration_cache.h"
+#include "net/fabric.h"
+#include "net/topology.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "svd/directory.h"
@@ -137,6 +140,31 @@ void BM_EventQueueHold(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueueHold)->Arg(256)->Arg(4096);
+
+// One 4 KiB message through a standalone IB fat tree of N nodes with
+// finite buffers: a seeded cross-leaf pair per iteration (3 or 5 hops),
+// run to completion. Each hop looks up two switch ports.
+void BM_FabricTransit(benchmark::State& state) {
+  const auto nodes = static_cast<std::uint32_t>(state.range(0));
+  const net::PlatformParams ib = net::infiniband_verbs();
+  net::FabricParams fp;
+  fp.port_credits = 4;
+  fp.route_seed = 7;
+  sim::Simulator sim;
+  net::Fabric fab(sim, ib, nodes, fp);
+  sim::Rng rng(23);
+  for (auto _ : state) {
+    const auto src = static_cast<NodeId>(rng.below(nodes));
+    auto dst = static_cast<NodeId>(rng.below(nodes));
+    if (dst / net::kFatTreeLeaf == src / net::kFatTreeLeaf) {
+      dst = (dst + net::kFatTreeLeaf) % nodes;
+    }
+    sim.spawn(fab.transit(src, dst, 4096));
+    sim.run();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FabricTransit)->Arg(72)->Arg(1296);
 
 void BM_RngBelow(benchmark::State& state) {
   sim::Rng rng(17);

@@ -34,8 +34,67 @@ const char* to_string(RoutePolicy p) {
 }
 
 Fabric::Fabric(sim::Simulator& sim, const PlatformParams& params,
-               FabricParams config)
-    : sim_(&sim), params_(&params), config_(config) {}
+               std::uint32_t nodes, FabricParams config)
+    : sim_(&sim),
+      params_(&params),
+      config_(config),
+      nodes_(config.enabled() ? nodes : 0) {
+  // A disabled fabric carries no traffic: no table, and every transit
+  // is refused by check_nodes.
+  if (!config_.enabled()) return;
+  const auto span = [this](Level level, std::uint32_t switches,
+                           std::uint32_t width) {
+    levels_[static_cast<std::size_t>(level)] = {0, switches, width};
+  };
+  // Switches needed to give `nodes` nodes `per` down-links each.
+  const auto over = [nodes](std::uint32_t per) {
+    return static_cast<std::uint32_t>((std::uint64_t{nodes} + per - 1) / per);
+  };
+  // One block per level, sized by the largest switch and port numbers
+  // route_path can produce for this machine.
+  switch (params.topology) {
+    case TopologyKind::kFlatSwitch:
+      span(Level::kLeafDown, 1, nodes);
+      break;
+    case TopologyKind::kMyrinetCrossbar: {
+      const std::uint32_t linecards = over(kMyrinetLinecard);
+      const std::uint32_t groups = over(kMyrinetGroup);
+      span(Level::kTopDown, 1, groups);
+      span(Level::kLcDown, linecards, kMyrinetLinecard);
+      span(Level::kLcUp, linecards, 1);
+      span(Level::kMidDown, groups, kMyrinetGroup / kMyrinetLinecard);
+      span(Level::kMidUp, groups, 1);
+      break;
+    }
+    case TopologyKind::kFatTree: {
+      // A route picks one of the pod's kFatTreeLeaf spines (and with it
+      // one of kFatTreeLeaf core planes).
+      const std::uint32_t leaves = over(kFatTreeLeaf);
+      const std::uint32_t spines = over(kFatTreePod) * kFatTreeLeaf;
+      span(Level::kLeafDown, leaves, kFatTreeLeaf);
+      span(Level::kLeafUp, leaves, kFatTreeLeaf);
+      span(Level::kSpineDown, spines, kFatTreePod / kFatTreeLeaf);
+      span(Level::kSpineUp, spines, 1);
+      span(Level::kTopDown, kFatTreeLeaf, over(kFatTreePod));
+      break;
+    }
+  }
+  // Blocks in Level order, so index order is (level, switch, port) order.
+  std::size_t base = 0;
+  for (LevelSpan& level : levels_) {
+    level.base = base;
+    base += std::size_t{level.switches} * level.width;
+  }
+  ports_.resize(base);
+}
+
+void Fabric::check_nodes(NodeId src, NodeId dst) const {
+  if (src >= nodes_ || dst >= nodes_) {
+    throw std::out_of_range("Fabric: " + std::to_string(src) + "->" +
+                            std::to_string(dst) + " is outside the " +
+                            std::to_string(nodes_) + "-node port table");
+  }
+}
 
 std::uint32_t Fabric::route_count(NodeId src, NodeId dst) const {
   return 1 + redundant_paths(params_->topology, src, dst);
@@ -50,6 +109,7 @@ std::uint32_t Fabric::primary_route(NodeId src, NodeId dst) const {
 }
 
 std::uint32_t Fabric::select_route(NodeId src, NodeId dst) const {
+  check_nodes(src, dst);
   const std::uint32_t primary = primary_route(src, dst);
   if (config_.routing == RoutePolicy::kEcmp) return primary;
   const std::uint32_t nroutes = route_count(src, dst);
@@ -76,7 +136,7 @@ Fabric::Path Fabric::route_path(NodeId src, NodeId dst,
   switch (params_->topology) {
     case TopologyKind::kFlatSwitch:
       // One single-stage switch: the egress port toward dst.
-      path.add(port_key(Level::kLeafDown, 0, dst));
+      path.add(port_index(Level::kLeafDown, 0, dst));
       break;
     case TopologyKind::kMyrinetCrossbar: {
       // Single-route 3-level crossbar: linecard / mid (group) / top.
@@ -85,17 +145,17 @@ Fabric::Path Fabric::route_path(NodeId src, NodeId dst,
       const std::uint32_t gs = src / kMyrinetGroup;
       const std::uint32_t gd = dst / kMyrinetGroup;
       if (ls == ld) {
-        path.add(port_key(Level::kLcDown, ld, dst % kMyrinetLinecard));
+        path.add(port_index(Level::kLcDown, ld, dst % kMyrinetLinecard));
         break;
       }
       const std::uint32_t lc_per_group = kMyrinetGroup / kMyrinetLinecard;
-      path.add(port_key(Level::kLcUp, ls, 0));
+      path.add(port_index(Level::kLcUp, ls, 0));
       if (gs != gd) {
-        path.add(port_key(Level::kMidUp, gs, 0));
-        path.add(port_key(Level::kTopDown, 0, gd));
+        path.add(port_index(Level::kMidUp, gs, 0));
+        path.add(port_index(Level::kTopDown, 0, gd));
       }
-      path.add(port_key(Level::kMidDown, gd, ld % lc_per_group));
-      path.add(port_key(Level::kLcDown, ld, dst % kMyrinetLinecard));
+      path.add(port_index(Level::kMidDown, gd, ld % lc_per_group));
+      path.add(port_index(Level::kLcDown, ld, dst % kMyrinetLinecard));
       break;
     }
     case TopologyKind::kFatTree: {
@@ -106,19 +166,19 @@ Fabric::Path Fabric::route_path(NodeId src, NodeId dst,
       const std::uint32_t ps = src / kFatTreePod;
       const std::uint32_t pd = dst / kFatTreePod;
       if (ls == ld) {
-        path.add(port_key(Level::kLeafDown, ld, dst % kFatTreeLeaf));
+        path.add(port_index(Level::kLeafDown, ld, dst % kFatTreeLeaf));
         break;
       }
       const std::uint32_t leaves_per_pod = kFatTreePod / kFatTreeLeaf;
-      path.add(port_key(Level::kLeafUp, ls, route));
+      path.add(port_index(Level::kLeafUp, ls, route));
       if (ps != pd) {
-        path.add(port_key(Level::kSpineUp,
-                          ps * kFatTreeLeaf + route, 0));
-        path.add(port_key(Level::kTopDown, route, pd));
+        path.add(port_index(Level::kSpineUp,
+                            ps * kFatTreeLeaf + route, 0));
+        path.add(port_index(Level::kTopDown, route, pd));
       }
-      path.add(port_key(Level::kSpineDown, pd * kFatTreeLeaf + route,
-                        ld % leaves_per_pod));
-      path.add(port_key(Level::kLeafDown, ld, dst % kFatTreeLeaf));
+      path.add(port_index(Level::kSpineDown, pd * kFatTreeLeaf + route,
+                          ld % leaves_per_pod));
+      path.add(port_index(Level::kLeafDown, ld, dst % kFatTreeLeaf));
       break;
     }
   }
@@ -133,17 +193,24 @@ std::uint64_t Fabric::route_load(NodeId src, NodeId dst,
     // An untouched port is by definition idle; reading its load must
     // not materialize it (that would make *observing* routes perturb
     // the report's resource list).
-    const auto it = ports_.find(path.key[i]);
-    if (it == ports_.end()) continue;
-    load += it->second.buf->in_use() + it->second.buf->queue_length();
+    const Port& p = ports_[path.index[i]];
+    if (!p.buf) continue;
+    load += p.buf->in_use() + p.buf->queue_length();
   }
   return load;
 }
 
-std::string Fabric::port_name(std::uint64_t key) const {
-  const auto level = static_cast<Level>(key >> 56);
-  const auto sw = static_cast<std::uint32_t>((key >> 24) & 0xffffffffu);
-  const auto port = static_cast<std::uint32_t>(key & 0xffffffu);
+std::string Fabric::port_name(std::size_t index) const {
+  std::size_t li = 0;
+  while (index >= levels_[li].base +
+                      std::size_t{levels_[li].switches} * levels_[li].width) {
+    ++li;
+  }
+  const LevelSpan& span = levels_[li];
+  const auto level = static_cast<Level>(li);
+  const std::size_t offset = index - span.base;
+  const auto sw = static_cast<std::uint32_t>(offset / span.width);
+  const auto port = static_cast<std::uint32_t>(offset % span.width);
   // Prefixes deliberately avoid the ".core"/".comm"/".nic_" substrings
   // the utilization gauges filter node resources by (core/run_report.cpp).
   const char* stage = "?";
@@ -158,32 +225,35 @@ std::string Fabric::port_name(std::uint64_t key) const {
     case Level::kLcUp: stage = "lc"; dir = "up"; break;
     case Level::kMidDown: stage = "mid"; break;
     case Level::kMidUp: stage = "mid"; dir = "up"; break;
+    case Level::kCount: break;
   }
   return "fab." + std::string(stage) + std::to_string(sw) + "." + dir +
          std::to_string(port);
 }
 
-Fabric::Port& Fabric::port(std::uint64_t key) {
-  auto it = ports_.find(key);
-  if (it != ports_.end()) return it->second;
-  const std::string name = port_name(key);
-  Port p;
+Fabric::Port& Fabric::port(std::size_t index) {
+  Port& p = ports_[index];
+  if (p.buf) return p;
+  const std::string name = port_name(index);
   p.buf = std::make_unique<sim::Resource>(*sim_, config_.port_credits,
                                           name + ".buf");
   p.wire = std::make_unique<sim::Resource>(*sim_, 1, name + ".wire");
-  return ports_.emplace(key, std::move(p)).first->second;
+  ++live_ports_;
+  return p;
 }
 
 void Fabric::for_each_port(
     const std::function<void(const sim::Resource&)>& fn) const {
-  for (const auto& [key, p] : ports_) {
+  for (const Port& p : ports_) {
+    if (!p.buf) continue;
     fn(*p.buf);
     fn(*p.wire);
   }
 }
 
 void Fabric::reset_port_usage() {
-  for (auto& [key, p] : ports_) {
+  for (Port& p : ports_) {
+    if (!p.buf) continue;
     p.buf->reset_usage();
     p.wire->reset_usage();
   }
@@ -194,6 +264,7 @@ Task<void> Fabric::transit(NodeId src, NodeId dst, std::uint64_t bytes) {
   // source-side injection latency — the adaptive policy must observe the
   // buffer occupancy at the instant the message enters the first switch,
   // not at enqueue time.
+  check_nodes(src, dst);
   return transit_on(src, dst, bytes, kSelectAtInjection, 0);
 }
 
@@ -203,6 +274,7 @@ Task<void> Fabric::transit_failover(NodeId src, NodeId dst,
   // route space, and pay the same two-extra-hop detour premium as the
   // contention-free failover model (net::failover_latency), so the
   // fault layer's reroute semantics survive the finite-buffer fabric.
+  check_nodes(src, dst);
   const std::uint32_t nroutes = route_count(src, dst);
   const std::uint32_t primary = primary_route(src, dst);
   std::uint32_t route = alt % (nroutes > 1 ? nroutes - 1 : 1);
@@ -240,7 +312,7 @@ Task<void> Fabric::transit_on(NodeId src, NodeId dst, std::uint64_t bytes,
   // parks the message while it still occupies this port: head-of-line
   // blocking, and sustained overload backs up hop by hop into a
   // congestion tree (incast collapse emerges from these three lines).
-  Port* cur = &port(path.key[0]);
+  Port* cur = &port(path.index[0]);
   {
     const sim::Time t0 = sim.now();
     co_await cur->buf->acquire();
@@ -254,7 +326,7 @@ Task<void> Fabric::transit_on(NodeId src, NodeId dst, std::uint64_t bytes,
     if (ser != 0) co_await sim.delay(ser);
     Port* next = nullptr;
     if (i + 1 < path.n) {
-      next = &port(path.key[i + 1]);
+      next = &port(path.index[i + 1]);
       const sim::Time t0 = sim.now();
       co_await next->buf->acquire();
       if (sim.now() != t0) {

@@ -35,10 +35,11 @@
 // byte-identical to a build without this file.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <vector>
 
 #include "common/types.h"
 #include "net/params.h"
@@ -84,14 +85,19 @@ struct FabricStats {
   std::uint64_t failover_transits = 0; ///< transits detoured by link-down
 };
 
-/// The switch fabric of one Machine. Ports are materialized lazily on
-/// first traversal (an idle corner of a big fat tree costs nothing) and
-/// keyed deterministically, so iteration order — and therefore every
-/// report built from it — is stable across runs.
+/// The switch fabric of one Machine. Every egress port of the topology
+/// has a fixed slot in a dense table, ordered by (level, switch, port),
+/// so a hop looks its port up in O(1) and iteration order — and
+/// therefore every report built from it — is stable across runs. A
+/// slot's resources are materialized lazily on first traversal (an idle
+/// corner of a big fat tree costs one empty slot).
 class Fabric {
  public:
+  /// `nodes` sizes the port table. Transits naming a node >= `nodes`
+  /// throw std::out_of_range. A disabled fabric allocates no table and
+  /// refuses every transit the same way.
   Fabric(sim::Simulator& sim, const PlatformParams& params,
-         FabricParams config);
+         std::uint32_t nodes, FabricParams config);
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
@@ -121,10 +127,10 @@ class Fabric {
   void reset_stats() noexcept { stats_ = FabricStats{}; }
 
   /// Ports materialized so far (switch egress ports touched by traffic).
-  std::size_t port_count() const noexcept { return ports_.size(); }
+  std::size_t port_count() const noexcept { return live_ports_; }
 
   /// Visit the buffer and wire resources of every materialized port in
-  /// deterministic key order ("fab.leaf0.dn3.buf", ".wire", ...).
+  /// (level, switch, port) order ("fab.leaf0.dn3.buf", ".wire", ...).
   void for_each_port(
       const std::function<void(const sim::Resource&)>& fn) const;
 
@@ -135,13 +141,14 @@ class Fabric {
   /// One switch egress port: `buf` holds the finite buffer slots (the
   /// credit window advertised to the upstream hop), `wire` is the
   /// single-lane egress link that serializes one message at a time.
+  /// Both stay null until the port's first traversal.
   struct Port {
     std::unique_ptr<sim::Resource> buf;
     std::unique_ptr<sim::Resource> wire;
   };
 
-  /// Egress-port levels across the three topologies. Values are packed
-  /// into the port key, so each is unique within one Fabric instance.
+  /// Egress-port levels across the three topologies, in table order:
+  /// each level owns one contiguous block of the port table.
   enum class Level : std::uint8_t {
     kLeafDown,   // fat tree: leaf -> node         | flat switch -> node
     kLeafUp,     // fat tree: leaf -> pod spine r
@@ -152,14 +159,25 @@ class Fabric {
     kLcUp,       // Myrinet: linecard -> mid
     kMidDown,    // Myrinet: mid -> linecard
     kMidUp,      // Myrinet: mid -> top
+    kCount,
   };
 
-  /// A route expressed as its egress ports, source side first. At most
-  /// 5 entries (the deepest route is 5 hops on either 3-level topology).
+  /// A level's block of the port table: `switches` switches of `width`
+  /// egress ports each, port (sw, p) at index base + sw * width + p.
+  /// Levels a topology lacks are empty.
+  struct LevelSpan {
+    std::size_t base = 0;
+    std::uint32_t switches = 0;
+    std::uint32_t width = 0;
+  };
+
+  /// A route expressed as its egress ports' table indices, source side
+  /// first. At most 5 entries (the deepest route is 5 hops on either
+  /// 3-level topology).
   struct Path {
-    std::uint64_t key[5];
+    std::size_t index[5];
     std::uint32_t n = 0;
-    void add(std::uint64_t k) { key[n++] = k; }
+    void add(std::size_t i) { index[n++] = i; }
   };
 
   /// Sentinel route: pick by policy at injection time (inside
@@ -167,11 +185,14 @@ class Fabric {
   /// the buffer occupancy the message actually meets.
   static constexpr std::uint32_t kSelectAtInjection = 0xffffffffu;
 
-  static std::uint64_t port_key(Level level, std::uint32_t sw,
-                                std::uint32_t port) noexcept {
-    return (static_cast<std::uint64_t>(level) << 56) |
-           (static_cast<std::uint64_t>(sw) << 24) | port;
+  std::size_t port_index(Level level, std::uint32_t sw,
+                         std::uint32_t port) const noexcept {
+    const LevelSpan& span = levels_[static_cast<std::size_t>(level)];
+    return span.base + static_cast<std::size_t>(sw) * span.width + port;
   }
+
+  /// Throws std::out_of_range unless both nodes index the port table.
+  void check_nodes(NodeId src, NodeId dst) const;
 
   /// Enumerate the egress ports of route `route` between the pair.
   Path route_path(NodeId src, NodeId dst, std::uint32_t route) const;
@@ -182,8 +203,8 @@ class Fabric {
   std::uint64_t route_load(NodeId src, NodeId dst,
                            std::uint32_t route) const;
 
-  Port& port(std::uint64_t key);
-  std::string port_name(std::uint64_t key) const;
+  Port& port(std::size_t index);
+  std::string port_name(std::size_t index) const;
 
   /// The hop-by-hop walk shared by transit and transit_failover.
   sim::Task<void> transit_on(NodeId src, NodeId dst, std::uint64_t bytes,
@@ -193,7 +214,10 @@ class Fabric {
   const PlatformParams* params_;
   FabricParams config_;
   FabricStats stats_;
-  std::map<std::uint64_t, Port> ports_;
+  std::uint32_t nodes_;  ///< nodes the port table covers (0: disabled)
+  std::array<LevelSpan, static_cast<std::size_t>(Level::kCount)> levels_{};
+  std::vector<Port> ports_;
+  std::size_t live_ports_ = 0;
 };
 
 }  // namespace xlupc::net

@@ -17,19 +17,14 @@ IbTransport::IbTransport(Machine& machine, AmTarget& target)
 // ------------------------------------------------------- queue pairs ---
 
 ib::QueuePair& IbTransport::qp(NodeId src, NodeId dst) {
-  const auto key = std::make_pair(src, dst);
-  auto it = qps_.find(key);
-  if (it == qps_.end()) {
-    it = qps_
-             .try_emplace(key, machine_.simulator(),
-                          machine_.params().sq_depth)
-             .first;
-  }
-  return it->second;
+  return qps_
+      .try_emplace(qp_key(src, dst), machine_.simulator(),
+                   machine_.params().sq_depth)
+      .first->second;
 }
 
 const ib::QueuePair* IbTransport::queue_pair(NodeId src, NodeId dst) const {
-  const auto it = qps_.find(std::make_pair(src, dst));
+  const auto it = qps_.find(qp_key(src, dst));
   return it == qps_.end() ? nullptr : &it->second;
 }
 
@@ -65,12 +60,24 @@ void IbTransport::qp_complete(NodeId src, NodeId dst) {
   cqs_[src].completed();
 }
 
+void IbTransport::fence(NodeId src, NodeId dst) {
+  const auto it = qps_.find(qp_key(src, dst));
+  if (it != qps_.end() && !it->second.in_error()) {
+    it->second.to_error();
+    ++stats_.qp_errors;
+  }
+}
+
 void IbTransport::on_peer_dead(NodeId node) {
-  for (auto& [key, q] : qps_) {
-    if ((key.first == node || key.second == node) && !q.in_error()) {
-      q.to_error();
-      ++stats_.qp_errors;
+  // Fence in (src, dst) order: to_error() wakes the QP's stalled
+  // posters, so this order is the equal-time order they resume in.
+  const NodeId nodes = machine_.nodes();
+  for (NodeId s = 0; s < nodes; ++s) {
+    if (s != node) {
+      fence(s, node);
+      continue;
     }
+    for (NodeId d = 0; d < nodes; ++d) fence(node, d);
   }
 }
 
@@ -78,13 +85,8 @@ void IbTransport::on_link_down(NodeId a, NodeId b) {
   // With a redundant path the protocol engine reroutes around the dark
   // link and the connection stays up; only a path-less pair fences.
   if (redundant_paths(machine_.params().topology, a, b) > 0) return;
-  for (const auto key : {std::make_pair(a, b), std::make_pair(b, a)}) {
-    auto it = qps_.find(key);
-    if (it != qps_.end() && !it->second.in_error()) {
-      it->second.to_error();
-      ++stats_.qp_errors;
-    }
-  }
+  fence(a, b);
+  fence(b, a);
 }
 
 // ---------------------------------------------------------------- GET ---

@@ -17,8 +17,8 @@
 // timing through the Machine's FIFO resources.
 #pragma once
 
-#include <map>
-#include <utility>
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "net/ib/verbs.h"
@@ -73,7 +73,12 @@ class IbTransport final : public Transport {
   }
 
  private:
+  static std::uint64_t qp_key(NodeId src, NodeId dst) noexcept {
+    return (static_cast<std::uint64_t>(src) << 32) | dst;
+  }
   ib::QueuePair& qp(NodeId src, NodeId dst);
+  /// Error-fence the src -> dst connection if it exists and is RTS.
+  void fence(NodeId src, NodeId dst);
   /// Post one WQE on the src -> dst queue pair (counting stalls when the
   /// send queue is full).
   sim::Task<void> qp_post(NodeId src, NodeId dst);
@@ -94,8 +99,10 @@ class IbTransport final : public Transport {
                                      PutAckHook on_ack);
 
   /// One RC connection per ordered (initiator node, target node) pair,
-  /// created on first use (std::map keeps iteration deterministic).
-  std::map<std::pair<NodeId, NodeId>, ib::QueuePair> qps_;
+  /// keyed by qp_key and created on first use. Nodes are stable, so a
+  /// QueuePair& held across a stalled post_send() survives rehashing;
+  /// nothing iterates the table, so its order never reaches a run.
+  std::unordered_map<std::uint64_t, ib::QueuePair> qps_;
   std::vector<ib::CompletionQueue> cqs_;  ///< one per node (initiator side)
 };
 

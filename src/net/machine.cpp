@@ -10,7 +10,7 @@ Machine::Machine(sim::Simulator& sim, PlatformParams params,
       params_(std::move(params)),
       config_(std::move(config)),
       faults_(config_.faults),
-      fabric_(sim, params_, config_.fabric) {
+      fabric_(sim, params_, config_.nodes, config_.fabric) {
   if (config_.nodes == 0 || config_.cores_per_node == 0) {
     throw std::invalid_argument("Machine: nodes and cores must be positive");
   }

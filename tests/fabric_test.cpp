@@ -4,6 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <regex>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/runtime.h"
@@ -49,7 +55,7 @@ TEST(FabricTransit, UncontendedTimeIsStoreAndForward) {
   const std::uint64_t bytes = 4096;
   for (const Case& c : cases) {
     sim::Simulator sim;
-    Fabric fab(sim, c.p, finite(4));
+    Fabric fab(sim, c.p, 648, finite(4));
     Time done = 0;
     sim.spawn([](sim::Simulator& s, Fabric& f, const Case& cs,
                  std::uint64_t b, Time& out) -> Task<> {
@@ -72,7 +78,7 @@ TEST(FabricTransit, UncontendedTimeIsStoreAndForward) {
 TEST(FabricTransit, SharedPortSerializes) {
   const PlatformParams p = infiniband_verbs();
   sim::Simulator sim;
-  Fabric fab(sim, p, finite(8));
+  Fabric fab(sim, p, 18, finite(8));
   std::vector<Time> done(2);
   for (int i = 0; i < 2; ++i) {
     // Two sources under one leaf, one destination: the leaf's down-port
@@ -96,7 +102,7 @@ TEST(FabricTransit, SharedPortSerializes) {
 TEST(FabricTransit, FiniteCreditsApplyBackpressure) {
   const PlatformParams p = infiniband_verbs();
   sim::Simulator sim;
-  Fabric fab(sim, p, finite(1));
+  Fabric fab(sim, p, 18, finite(1));
   int finished = 0;
   for (int i = 0; i < 4; ++i) {
     sim.spawn([](Fabric& f, NodeId src, int& n) -> Task<> {
@@ -110,25 +116,206 @@ TEST(FabricTransit, FiniteCreditsApplyBackpressure) {
   EXPECT_GT(fab.stats().credit_wait_ns, 0u);
 }
 
+// A node the fabric was not sized for is refused before any port is
+// touched: on the fat tree, node 36 of a 36-node table would otherwise
+// land in the next level's block and alias a real port. A disabled
+// fabric refuses every transit.
+TEST(FabricTransit, OutOfRangeNodesThrow) {
+  for (const PlatformParams& p : {power5_lapi(), infiniband_verbs()}) {
+    sim::Simulator sim;
+    Fabric fab(sim, p, 36, finite(4));
+    EXPECT_THROW((void)fab.transit(0, 36, 64), std::out_of_range) << p.name;
+    EXPECT_THROW((void)fab.transit(36, 0, 64), std::out_of_range) << p.name;
+    EXPECT_THROW((void)fab.transit_failover(0, 400, 64, 0), std::out_of_range)
+        << p.name;
+    EXPECT_EQ(fab.port_count(), 0u);
+    EXPECT_EQ(fab.stats().msgs, 0u);
+    EXPECT_EQ(fab.stats().failover_transits, 0u);
+
+    // The last node is still in range.
+    sim.spawn([](Fabric& f) -> Task<> { co_await f.transit(0, 35, 64); }(fab));
+    sim.run();
+    EXPECT_EQ(fab.stats().msgs, 1u) << p.name;
+  }
+  // A disabled fabric has no port table at all.
+  sim::Simulator sim;
+  const PlatformParams ib = infiniband_verbs();
+  Fabric off(sim, ib, 36, FabricParams{});
+  EXPECT_THROW((void)off.transit(0, 1, 64), std::out_of_range);
+}
+
+// --- port table ----------------------------------------------------------
+
+// The egress ports a route crosses, named independently of the fabric
+// (docs/FABRIC.md): level rank in table order, switch, port.
+using PortId = std::tuple<int, std::uint32_t, std::uint32_t>;
+
+std::vector<PortId> route_ports(TopologyKind t, NodeId s, NodeId d,
+                                std::uint32_t route) {
+  enum { kLeafDn, kLeafUp, kSpineDn, kSpineUp, kTopDn, kLcDn, kLcUp, kMidDn,
+         kMidUp };
+  if (s == d) return {};
+  if (t == TopologyKind::kFlatSwitch) return {{kLeafDn, 0, d}};
+  if (t == TopologyKind::kMyrinetCrossbar) {
+    const NodeId ls = s / 16, ld = d / 16, gs = s / 128, gd = d / 128;
+    if (ls == ld) return {{kLcDn, ld, d % 16}};
+    std::vector<PortId> out = {{kLcUp, ls, 0}};
+    if (gs != gd) {
+      out.push_back({kMidUp, gs, 0});
+      out.push_back({kTopDn, 0, gd});
+    }
+    out.push_back({kMidDn, gd, ld % 8});
+    out.push_back({kLcDn, ld, d % 16});
+    return out;
+  }
+  const NodeId ls = s / 18, ld = d / 18, ps = s / 324, pd = d / 324;
+  if (ls == ld) return {{kLeafDn, ld, d % 18}};
+  std::vector<PortId> out = {{kLeafUp, ls, route}};
+  if (ps != pd) {
+    out.push_back({kSpineUp, ps * 18 + route, 0});
+    out.push_back({kTopDn, route, pd});
+  }
+  out.push_back({kSpineDn, pd * 18 + route, ld % 18});
+  out.push_back({kLeafDn, ld, d % 18});
+  return out;
+}
+
+// "fab.leaf0.dn3.buf" -> (rank of leaf.dn, 0, 3); the trailing "buf" or
+// "wire" is returned through `suffix`.
+PortId parse_port(const std::string& name, std::string& suffix) {
+  static const std::vector<std::string> order = {
+      "leaf.dn", "leaf.up", "spine.dn", "spine.up", "top.dn",
+      "lc.dn",   "lc.up",   "mid.dn",   "mid.up"};
+  static const std::regex re(R"(fab\.([a-z]+)(\d+)\.([a-z]+)(\d+)\.([a-z]+))");
+  std::smatch m;
+  if (!std::regex_match(name, m, re)) {
+    ADD_FAILURE() << "unparsable port name " << name;
+    return {-1, 0, 0};
+  }
+  suffix = m[5];
+  const auto it = std::find(order.begin(), order.end(),
+                            m[1].str() + "." + m[3].str());
+  EXPECT_NE(it, order.end()) << name;
+  return {static_cast<int>(it - order.begin()),
+          static_cast<std::uint32_t>(std::stoul(m[2])),
+          static_cast<std::uint32_t>(std::stoul(m[4]))};
+}
+
+// All-to-all traffic materializes exactly the ports its routes cross, and
+// for_each_port yields each once, buffer then wire, in (level, switch,
+// port) order — the order every report built from the fabric relies on.
+// Sources step by a stride coprime to the leaf/linecard size, so every
+// switch still sends (and every port is crossed) at a fraction of the
+// events.
+TEST(FabricPorts, AllToAllYieldsTouchedPortsInKeyOrder) {
+  struct Case {
+    PlatformParams p;
+    std::uint32_t nodes;
+    NodeId stride;      // between sources
+    std::size_t ports;  // distinct ports the traffic crosses
+    std::vector<std::string> names;  // a sample that must be present
+  };
+  const std::vector<Case> cases = {
+      {power5_lapi(), 24, 1, 24, {"fab.leaf0.dn3.buf", "fab.leaf0.dn23.wire"}},
+      // 16 linecards of 16 nodes, 2 groups: 256 + 16 + 16 + 2 + 2.
+      {mare_nostrum_gm(), 256, 3, 292,
+       {"fab.lc0.dn3.buf", "fab.lc15.up0.wire", "fab.mid1.dn7.buf",
+        "fab.mid0.up0.buf", "fab.top0.dn1.wire"}},
+      // 36 leaves, 2 pods: 648 leaf-down + 648 leaf-up (18 routes) +
+      // 648 spine-down + 36 spine-up + 36 core-down.
+      {infiniband_verbs(), 648, 7, 2016,
+       {"fab.leaf0.dn3.buf", "fab.leaf35.up17.wire", "fab.spine35.dn17.buf",
+        "fab.spine0.up0.wire", "fab.top17.dn1.buf"}},
+  };
+  for (const Case& c : cases) {
+    sim::Simulator sim;
+    Fabric fab(sim, c.p, c.nodes, finite(64));
+    std::set<PortId> touched;
+    for (NodeId s = 0; s < c.nodes; s += c.stride) {
+      for (NodeId d = 0; d < c.nodes; ++d) {
+        for (const PortId& id :
+             route_ports(c.p.topology, s, d, fab.primary_route(s, d))) {
+          touched.insert(id);
+        }
+      }
+      sim.spawn([](Fabric& f, NodeId src, std::uint32_t n) -> Task<> {
+        for (NodeId dst = 0; dst < n; ++dst) co_await f.transit(src, dst, 64);
+      }(fab, s, c.nodes));
+    }
+    sim.run();
+    EXPECT_EQ(touched.size(), c.ports) << c.p.name;
+    EXPECT_EQ(fab.port_count(), touched.size()) << c.p.name;
+
+    std::vector<std::string> names;
+    fab.for_each_port(
+        [&](const sim::Resource& r) { names.push_back(r.name()); });
+    ASSERT_EQ(names.size(), 2 * touched.size()) << c.p.name;
+    std::vector<PortId> visited;
+    for (std::size_t i = 0; i < names.size(); i += 2) {
+      std::string buf, wire;
+      const PortId id = parse_port(names[i], buf);
+      EXPECT_EQ(parse_port(names[i + 1], wire), id) << names[i + 1];
+      EXPECT_EQ(buf, "buf") << names[i];
+      EXPECT_EQ(wire, "wire") << names[i + 1];
+      visited.push_back(id);
+    }
+    // Strictly increasing: key order, no duplicates, and exactly the
+    // ports the routes cross.
+    EXPECT_TRUE(std::adjacent_find(visited.begin(), visited.end(),
+                                   std::greater_equal<>()) == visited.end())
+        << c.p.name;
+    EXPECT_EQ(std::set<PortId>(visited.begin(), visited.end()), touched)
+        << c.p.name;
+    for (const std::string& n : c.names) {
+      EXPECT_NE(std::find(names.begin(), names.end(), n), names.end()) << n;
+    }
+  }
+}
+
+// Observing routes creates nothing: adaptive selection on an idle fabric
+// reads every candidate route's load, yet no port materializes. Traffic
+// then materializes only the ports it crosses.
+TEST(FabricPorts, AdaptiveSelectionOnIdleFabricMaterializesNoPort) {
+  sim::Simulator sim;
+  const PlatformParams ib = infiniband_verbs();
+  Fabric fab(sim, ib, 648, finite(2, RoutePolicy::kAdaptive));
+  for (NodeId s = 0; s < 648; s += 7) {
+    for (NodeId d = 0; d < 648; d += 5) {
+      EXPECT_EQ(fab.select_route(s, d), fab.primary_route(s, d));
+    }
+  }
+  EXPECT_EQ(fab.port_count(), 0u);
+  std::size_t visited = 0;
+  fab.for_each_port([&](const sim::Resource&) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+
+  // One message through the core materializes its five ports, no more.
+  sim.spawn([](Fabric& f) -> Task<> { co_await f.transit(0, 400, 64); }(fab));
+  sim.run();
+  EXPECT_EQ(fab.port_count(), 5u);
+  fab.for_each_port([&](const sim::Resource&) { ++visited; });
+  EXPECT_EQ(visited, 10u);
+}
+
 // --- routing -------------------------------------------------------------
 
 TEST(FabricRouting, RouteCountsFollowTopology) {
   const PlatformParams ib = infiniband_verbs();
   sim::Simulator sim;
-  Fabric fab(sim, ib, finite(4));
+  Fabric fab(sim, ib, 648, finite(4));
   EXPECT_EQ(fab.route_count(0, 1), 1u);     // same leaf: single path
   EXPECT_EQ(fab.route_count(0, 19), 18u);   // pod spines
   EXPECT_EQ(fab.route_count(0, 400), 18u);  // core planes
 
   const PlatformParams gm = mare_nostrum_gm();
-  Fabric crossbar(sim, gm, finite(4));
+  Fabric crossbar(sim, gm, 256, finite(4));
   EXPECT_EQ(crossbar.route_count(0, 129), 1u);  // Myrinet: single route
 }
 
 TEST(FabricRouting, EcmpIsStableAndSeeded) {
   const PlatformParams ib = infiniband_verbs();
   sim::Simulator sim;
-  Fabric fab(sim, ib, finite(4));
+  Fabric fab(sim, ib, 324, finite(4));
   const std::uint32_t r = fab.primary_route(3, 40);
   EXPECT_EQ(fab.primary_route(3, 40), r);  // pure hash, no state consumed
   EXPECT_LT(r, fab.route_count(3, 40));
@@ -136,7 +323,7 @@ TEST(FabricRouting, EcmpIsStableAndSeeded) {
   // A different route seed re-places at least one of a spread of pairs.
   FabricParams other = finite(4);
   other.route_seed = 12345;
-  Fabric fab2(sim, ib, other);
+  Fabric fab2(sim, ib, 324, other);
   bool moved = false;
   for (NodeId dst = 19; dst < 19 + 32 && !moved; ++dst) {
     moved = fab.primary_route(0, dst) != fab2.primary_route(0, dst);
@@ -150,7 +337,7 @@ TEST(FabricRouting, AdaptiveDivertsOnlyUnderLoad) {
   const PlatformParams ib = infiniband_verbs();
   {
     sim::Simulator sim;
-    Fabric idle(sim, ib, finite(2, RoutePolicy::kAdaptive));
+    Fabric idle(sim, ib, kFatTreePod, finite(2, RoutePolicy::kAdaptive));
     EXPECT_EQ(idle.select_route(0, 19), idle.primary_route(0, 19));
   }
 
@@ -164,7 +351,7 @@ TEST(FabricRouting, AdaptiveDivertsOnlyUnderLoad) {
   std::vector<NodeId> dsts;
   {
     sim::Simulator sim;
-    Fabric probe(sim, ib, finite(2));
+    Fabric probe(sim, ib, kFatTreePod, finite(2));
     const std::uint32_t prim = probe.primary_route(src, 19);
     for (NodeId d = 19; d < kFatTreePod && dsts.size() < 4; ++d) {
       if (probe.primary_route(src, d) == prim) dsts.push_back(d);
@@ -174,7 +361,7 @@ TEST(FabricRouting, AdaptiveDivertsOnlyUnderLoad) {
 
   const auto burst = [&](RoutePolicy policy) {
     sim::Simulator sim;
-    Fabric fab(sim, ib, finite(2, policy));
+    Fabric fab(sim, ib, kFatTreePod, finite(2, policy));
     for (const NodeId d : dsts) {
       sim.spawn([](Fabric& f, NodeId s, NodeId dd) -> Task<> {
         co_await f.transit(s, dd, 1 << 18);

@@ -6,10 +6,12 @@
 // nonblocking+wait equivalence on the IB tier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "benchsupport/report.h"
@@ -100,8 +102,9 @@ TEST(Topology, FatTreeHopsFollowLeafPodCoreTiers) {
 // double-applied would be caught immediately.
 class CountingTarget : public AmTarget {
  public:
-  explicit CountingTarget(std::size_t bytes) : bytes_(bytes) {
-    for (int n = 0; n < 4; ++n) store_[n].assign(bytes, std::byte{0});
+  explicit CountingTarget(std::size_t bytes, NodeId nodes = 4)
+      : bytes_(bytes) {
+    for (NodeId n = 0; n < nodes; ++n) store_[n].assign(bytes, std::byte{0});
   }
   Addr base(NodeId n) const { return 0x1000u + (static_cast<Addr>(n) << 32); }
   std::byte* data(NodeId n) { return store_[n].data(); }
@@ -150,8 +153,10 @@ class CountingTarget : public AmTarget {
 };
 
 struct Rig {
-  explicit Rig(PlatformParams p = infiniband_verbs(), FaultParams fp = {})
-      : target(1 << 20), machine(sim, std::move(p), {2, 2, std::move(fp), {}}) {
+  explicit Rig(PlatformParams p = infiniband_verbs(), FaultParams fp = {},
+               std::uint32_t nodes = 2)
+      : target(1 << 20, std::max<NodeId>(nodes, 4)),
+        machine(sim, std::move(p), {nodes, 2, std::move(fp), {}}) {
     transport = make_transport(machine, target);
     ib = dynamic_cast<IbTransport*>(transport.get());
   }
@@ -363,6 +368,87 @@ TEST(IbProtocol, FullSendQueueBackpressuresPosters) {
   }
   deep.sim.run();
   EXPECT_EQ(deep.transport->stats().sq_stalls, 0u);
+}
+
+// Peer death fences every QP touching the corpse in (src, dst) order,
+// whatever order the connections were created in: to_error() wakes the
+// QP's stalled posters, so the fence order is the order they resume in
+// at the same simulated instant. Node 1 crash-stops at t = 0, so each
+// QP's first WQE is lost in retransmission (the RTO outlasts the test)
+// and holds the only send-queue slot; a second poster stalls behind it.
+// Once the corpse is declared dead the woken posters' legs fail fast,
+// each after the same initiator-side work, so the order they surface
+// PeerDeadError is the order they woke in.
+TEST(IbProtocol, PeerDeathWakesStalledPostersInSrcDstOrder) {
+  auto p = infiniband_verbs();
+  p.sq_depth = 1;
+  FaultParams fp;
+  fp.seed = 3;
+  fp.crashes.push_back({1, 0});
+  fp.rto = sim::us(10000.0);
+  fp.rto_cap = fp.rto;
+  constexpr NodeId kNodes = 8;  // one leaf: every pair is one hop
+  Rig rig(std::move(p), std::move(fp), kNodes);
+
+  // (src, dst, initiator core): node 1 posts on two QPs from two cores,
+  // so neither waits on the other's core after waking.
+  struct Conn { NodeId src, dst; std::uint32_t core; };
+  const std::vector<Conn> created = {
+      {3, 1, 0}, {1, 2, 1}, {2, 1, 0}, {0, 1, 0}, {1, 0, 0}};
+  const auto get = [](Rig& r, Conn c, std::vector<Conn>* woke) -> sim::Task<> {
+    try {
+      (void)co_await r.transport->rdma_get({c.src, c.core}, c.dst,
+                                           r.target.base(c.dst), 8);
+    } catch (const PeerDeadError&) {
+      if (woke) woke->push_back(c);
+    }
+  };
+  std::vector<Conn> woke;
+  for (const Conn& c : created) rig.sim.spawn(get(rig, c, nullptr));
+  for (const Conn& c : created) rig.sim.spawn(get(rig, c, &woke));
+
+  // While the posters stall, traffic among the live nodes grows the QP
+  // table well past its first bucket count; the stalled posters' queue
+  // pair references must survive the rehashing.
+  std::uint32_t live_done = 0;
+  rig.sim.spawn([](Rig& r, std::uint32_t& done) -> sim::Task<> {
+    co_await r.sim.delay(sim::us(10.0));
+    for (NodeId s = 0; s < kNodes; ++s) {
+      for (NodeId d = 0; d < kNodes; ++d) {
+        if (s == 1 || d == 1 || s == d) continue;
+        (void)co_await r.transport->rdma_get({s, 1}, d, r.target.base(d), 8);
+        ++done;
+      }
+    }
+  }(rig, live_done));
+
+  rig.sim.spawn([](Rig& r, const std::uint32_t& done) -> sim::Task<> {
+    co_await r.sim.delay(sim::us(1000.0));
+    EXPECT_EQ(done, 42u);  // every live pair finished before the death
+    for (NodeId n : {NodeId{3}, NodeId{2}, NodeId{0}}) {
+      const ib::QueuePair* q = r.ib->queue_pair(n, 1);
+      EXPECT_NE(q, nullptr);
+      if (q) {
+        EXPECT_EQ(q->outstanding(), 1u);  // the lost WQE holds the slot
+      }
+    }
+    r.transport->peer_dead(1);
+  }(rig, live_done));
+  rig.sim.run();
+
+  const std::vector<std::pair<NodeId, NodeId>> expect = {
+      {0, 1}, {1, 0}, {1, 2}, {2, 1}, {3, 1}};
+  std::vector<std::pair<NodeId, NodeId>> got;
+  for (const Conn& c : woke) got.emplace_back(c.src, c.dst);
+  EXPECT_EQ(got, expect);
+  EXPECT_EQ(rig.transport->stats().qp_errors, 5u);
+
+  // Untouched pairs still have no connection after all that growth.
+  for (const auto& [s, d] : std::vector<std::pair<NodeId, NodeId>>{
+           {1, 3}, {3, 3}, {1, 1}, {7, 1}, {kNodes, 0}}) {
+    EXPECT_EQ(rig.ib->queue_pair(s, d), nullptr) << s << "->" << d;
+  }
+  EXPECT_NE(rig.ib->queue_pair(7, 6), nullptr);
 }
 
 // -------------------------------------------------- RNR-NAK semantics ---

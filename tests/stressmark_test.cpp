@@ -263,10 +263,17 @@ TEST(PinStrategies, GreedyAndChunkedGiveSimilarImprovements) {
   EXPECT_GT(c.improvement_pct, 10.0);
 }
 
+// gtest names each case by the raw bytes of its parameter, so the padding
+// after `kind` is an explicit zeroed member: left implicit it holds
+// whatever the stack held, and the case names change from run to run.
 struct ScaleCase {
+  ScaleCase(net::TransportKind k, std::uint32_t n, std::uint32_t t)
+      : kind(k), nodes(n), tpn(t) {}
   net::TransportKind kind;
+  std::uint8_t pad[3] = {};
   std::uint32_t nodes, tpn;
 };
+static_assert(sizeof(ScaleCase) == 12, "ScaleCase must have no hidden padding");
 
 class StressmarkScaleProperty : public ::testing::TestWithParam<ScaleCase> {};
 
