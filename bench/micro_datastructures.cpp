@@ -1,8 +1,8 @@
 // Wall-clock microbenchmarks (google-benchmark) of the real data
 // structures on the critical paths: the remote address cache probe that
 // sits in front of every remote access, SVD translation, memory
-// registration bookkeeping, the simulator's event queue and the
-// congestion fabric's hop walk.
+// registration bookkeeping, the simulator's event queue and resources,
+// and the congestion fabric's hop walk.
 #include <benchmark/benchmark.h>
 
 #include "core/address_cache.h"
@@ -12,6 +12,7 @@
 #include "net/fabric.h"
 #include "net/topology.h"
 #include "sim/event_queue.h"
+#include "sim/resource.h"
 #include "sim/rng.h"
 #include "svd/directory.h"
 
@@ -19,31 +20,48 @@ namespace {
 
 using namespace xlupc;
 
-void BM_AddressCacheHit(benchmark::State& state) {
+// One probe per iteration of a 100-entry cache (the paper's limit).
+// `hit`: 64 resident keys probed at random. `miss_evict`: a fresh key
+// every time, so the full cache misses, inserts and evicts its LRU entry.
+void BM_AddressCache(benchmark::State& state, bool miss_evict) {
   core::AddressCache cache(100);
   for (std::uint64_t n = 0; n < 64; ++n) {
     cache.insert(core::CacheKey{1, static_cast<NodeId>(n), 0},
                  net::BaseInfo{0x1000 + n, n});
   }
   sim::Rng rng(42);
+  std::uint64_t h = 1;
   for (auto _ : state) {
-    const core::CacheKey key{1, static_cast<NodeId>(rng.below(64)), 0};
-    benchmark::DoNotOptimize(cache.lookup(key));
-  }
-}
-BENCHMARK(BM_AddressCacheHit);
-
-void BM_AddressCacheMissAndInsert(benchmark::State& state) {
-  core::AddressCache cache(100);
-  std::uint64_t h = 0;
-  for (auto _ : state) {
-    const core::CacheKey key{++h, 0, 0};
-    if (!cache.lookup(key)) {
-      cache.insert(key, net::BaseInfo{h, h});
+    if (miss_evict) {
+      const core::CacheKey key{++h, 0, 0};
+      if (!cache.lookup(key)) cache.insert(key, net::BaseInfo{h, h});
+    } else {
+      const core::CacheKey key{1, static_cast<NodeId>(rng.below(64)), 0};
+      benchmark::DoNotOptimize(cache.lookup(key));
     }
   }
+  benchmark::DoNotOptimize(cache.stats().evictions);
 }
-BENCHMARK(BM_AddressCacheMissAndInsert);
+BENCHMARK_CAPTURE(BM_AddressCache, hit, false);
+BENCHMARK_CAPTURE(BM_AddressCache, miss_evict, true);
+
+// One hardware charge (Resource::use of 10 ns) per iteration. `free`:
+// one process, the unit is always free. `contended`: four processes on
+// one unit, so every charge queues and release() hands the unit over.
+sim::Task<> charge_forever(sim::Resource& r) {
+  for (;;) co_await r.use(10);
+}
+
+void BM_ResourceUse(benchmark::State& state, int processes) {
+  sim::Simulator sim;
+  sim::Resource r(sim, 1);
+  for (int i = 0; i < processes; ++i) sim.spawn(charge_forever(r));
+  for (auto _ : state) sim.run_until(sim.now() + 10);
+  benchmark::DoNotOptimize(r.acquisitions());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_ResourceUse, free, 1);
+BENCHMARK_CAPTURE(BM_ResourceUse, contended, 4);
 
 // Home-node translation in a replica of `threads` UPC threads holding 32
 // objects in ALL and one in each of 32 thread partitions spread across

@@ -15,9 +15,9 @@
 //
 // Simulations are deterministic, so every run executes the exact same
 // event count; tools/perfcheck.sh gates CI on the committed
-// BENCH_simspeed.json event counts staying exact. XLUPC_SIM_POOL=malloc
-// runs the same workloads with the allocation pool bypassed (the
-// sanitizer job uses it so ASan sees every allocation).
+// BENCH_simspeed.json event counts staying exact. ASan builds compile
+// the allocation pool out, so the sanitizer job's run sees every
+// allocation.
 //
 // Usage: simspeed [--machine gm|lapi|ib] [--seed N] [--json <file>]
 //                 [--scale-probe]

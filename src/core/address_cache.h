@@ -17,12 +17,18 @@
 // because a cache hit must imply the addressed memory is pinned at the
 // target; under the paper's greedy strategy chunk is always 0 and "the
 // cache tags can simply be the SVD handles".
+//
+// Layout: entries live in one vector, linked into an LRU list by index
+// (freed entries are reused through a free list), and a power-of-two
+// linear-probing index of entry numbers finds them by key. Deletion
+// shifts later probe-chain members back instead of leaving tombstones,
+// so lookups never slow down after invalidations. Both arrays grow on
+// demand, which keeps the unbounded `full_table` mode working.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.h"
 #include "net/message.h"
@@ -35,17 +41,6 @@ struct CacheKey {
   std::uint32_t chunk = 0;   ///< pin chunk index (0 under greedy pinning)
 
   friend bool operator==(const CacheKey&, const CacheKey&) = default;
-};
-
-struct CacheKeyHash {
-  std::size_t operator()(const CacheKey& k) const noexcept {
-    std::uint64_t x = k.handle ^ (static_cast<std::uint64_t>(k.node) << 40) ^
-                      (static_cast<std::uint64_t>(k.chunk) << 20);
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdull;
-    x ^= x >> 33;
-    return static_cast<std::size_t>(x);
-  }
 };
 
 struct AddressCacheStats {
@@ -86,20 +81,43 @@ class AddressCache {
   /// Drop one entry (e.g. an RDMA NAK revealed the target unpinned it).
   void invalidate(const CacheKey& key);
 
-  std::size_t size() const noexcept { return map_.size(); }
+  std::size_t size() const noexcept { return size_; }
   std::size_t max_entries() const noexcept { return max_entries_; }
   const AddressCacheStats& stats() const noexcept { return stats_; }
   void reset_stats() { stats_ = {}; }
 
  private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
   struct Entry {
+    CacheKey key;
     net::BaseInfo info;
-    std::list<CacheKey>::iterator lru_pos;
+    std::uint32_t prev = kNil;  ///< towards the most recently used
+    std::uint32_t next = kNil;  ///< towards the LRU end; free-list link
   };
 
+  /// The index slot holding `key`, or the empty slot where it would go.
+  /// Precondition: the index is allocated.
+  std::size_t probe(const CacheKey& key) const noexcept;
+  /// Remove entry `e` from the index, the LRU list and the live count.
+  void remove(std::uint32_t e) noexcept;
+  /// Invalidate every entry for which `match(key)` holds.
+  template <class Match>
+  void invalidate_if(Match match);
+  void unlink(std::uint32_t e) noexcept;
+  void push_front(std::uint32_t e) noexcept;
+  /// Make `e` the most recently used entry.
+  void touch(std::uint32_t e) noexcept;
+  /// Double the index (at least 16 slots) and re-insert every entry.
+  void grow();
+
   std::size_t max_entries_;
-  std::unordered_map<CacheKey, Entry, CacheKeyHash> map_;
-  std::list<CacheKey> lru_;  // front = most recently used
+  std::size_t size_ = 0;
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> slots_;  ///< entry number, or kNil if empty
+  std::uint32_t mru_ = kNil;
+  std::uint32_t lru_ = kNil;
+  std::uint32_t free_ = kNil;
   AddressCacheStats stats_;
 };
 

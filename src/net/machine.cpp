@@ -1,6 +1,8 @@
 #include "net/machine.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace xlupc::net {
 
@@ -14,36 +16,33 @@ Machine::Machine(sim::Simulator& sim, PlatformParams params,
   if (config_.nodes == 0 || config_.cores_per_node == 0) {
     throw std::invalid_argument("Machine: nodes and cores must be positive");
   }
-  nodes_.reserve(config_.nodes);
+  const std::uint32_t cores = config_.cores_per_node;
+  // Communication processors: LAPI-style transports dispatch header
+  // handlers on a small pool of service (SMT) threads per node.
+  const std::uint64_t comm_units = std::max<std::uint32_t>(2, cores / 4);
+  resources_.reserve(std::size_t{config_.nodes} * stride());
   for (std::uint32_t n = 0; n < config_.nodes; ++n) {
-    const std::string prefix = "n" + std::to_string(n) + ".";
-    Node node;
-    node.cores.reserve(config_.cores_per_node);
-    for (std::uint32_t c = 0; c < config_.cores_per_node; ++c) {
-      node.cores.push_back(std::make_unique<sim::Resource>(
-          sim, 1, prefix + "core" + std::to_string(c)));
+    // Not "n" + std::to_string(n) + ".": gcc 12 reports a false
+    // -Wrestrict on that chain in optimized builds.
+    std::string prefix = std::to_string(n);
+    prefix.insert(0, 1, 'n').push_back('.');
+    auto named = [&prefix](const char* what) {
+      return std::string(prefix).append(what);
+    };
+    for (std::uint32_t c = 0; c < cores; ++c) {
+      resources_.emplace_back(sim, 1, named("core").append(std::to_string(c)));
     }
-    // Communication processors: LAPI-style transports dispatch header
-    // handlers on a small pool of service (SMT) threads per node.
-    node.comm = std::make_unique<sim::Resource>(
-        sim, std::max<std::uint32_t>(2, config_.cores_per_node / 4),
-        prefix + "comm");
-    node.tx = std::make_unique<sim::Resource>(sim, 1, prefix + "nic_tx");
+    resources_.emplace_back(sim, comm_units, named("comm"));
+    resources_.emplace_back(sim, 1, named("nic_tx"));
     // NICs carry independent send/receive DMA engines; one-sided traffic
     // in both directions can overlap.
-    node.dma = std::make_unique<sim::Resource>(sim, 2, prefix + "nic_dma");
-    nodes_.push_back(std::move(node));
+    resources_.emplace_back(sim, 2, named("nic_dma"));
   }
 }
 
 void Machine::for_each_resource(
     const std::function<void(const sim::Resource&)>& fn) const {
-  for (const Node& node : nodes_) {
-    for (const auto& core : node.cores) fn(*core);
-    fn(*node.comm);
-    fn(*node.tx);
-    fn(*node.dma);
-  }
+  for (const sim::Resource& r : resources_) fn(r);
   // Fabric ports trail the node resources; none exist (and none are ever
   // created) when the fabric is disabled, so default-config reports are
   // untouched.
@@ -51,23 +50,36 @@ void Machine::for_each_resource(
 }
 
 void Machine::reset_resource_usage() {
-  for (Node& node : nodes_) {
-    for (auto& core : node.cores) core->reset_usage();
-    node.comm->reset_usage();
-    node.tx->reset_usage();
-    node.dma->reset_usage();
-  }
+  for (sim::Resource& r : resources_) r.reset_usage();
   fabric_.reset_port_usage();
 }
 
-sim::Resource& Machine::core(NodeId node, std::uint32_t core) {
-  return *nodes_.at(node).cores.at(core);
+sim::Resource& Machine::node_resource(NodeId node, std::uint32_t slot) {
+  if (node >= config_.nodes) {
+    throw std::out_of_range("Machine: node " + std::to_string(node) +
+                            " out of range");
+  }
+  return resources_[std::size_t{node} * stride() + slot];
 }
 
-sim::Resource& Machine::comm_cpu(NodeId node) { return *nodes_.at(node).comm; }
+sim::Resource& Machine::core(NodeId node, std::uint32_t core) {
+  if (core >= config_.cores_per_node) {
+    throw std::out_of_range("Machine: core " + std::to_string(core) +
+                            " out of range");
+  }
+  return node_resource(node, core);
+}
 
-sim::Resource& Machine::nic_tx(NodeId node) { return *nodes_.at(node).tx; }
+sim::Resource& Machine::comm_cpu(NodeId node) {
+  return node_resource(node, config_.cores_per_node);
+}
 
-sim::Resource& Machine::nic_dma(NodeId node) { return *nodes_.at(node).dma; }
+sim::Resource& Machine::nic_tx(NodeId node) {
+  return node_resource(node, config_.cores_per_node + 1);
+}
+
+sim::Resource& Machine::nic_dma(NodeId node) {
+  return node_resource(node, config_.cores_per_node + 2);
+}
 
 }  // namespace xlupc::net

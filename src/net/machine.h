@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/types.h"
@@ -45,7 +44,8 @@ class Machine {
     return config_.cores_per_node;
   }
 
-  /// Application core `core` of node `node`.
+  /// Application core `core` of node `node`. The accessors throw
+  /// std::out_of_range for a node (or core) that does not exist.
   sim::Resource& core(NodeId node, std::uint32_t core);
   /// The node's dedicated communication processor.
   sim::Resource& comm_cpu(NodeId node);
@@ -82,19 +82,21 @@ class Machine {
   }
 
  private:
-  struct Node {
-    std::vector<std::unique_ptr<sim::Resource>> cores;
-    std::unique_ptr<sim::Resource> comm;
-    std::unique_ptr<sim::Resource> tx;
-    std::unique_ptr<sim::Resource> dma;
-  };
+  /// Resources per node: the cores, then comm CPU, NIC tx, NIC dma.
+  std::size_t stride() const noexcept {
+    return std::size_t{config_.cores_per_node} + 3;
+  }
+  /// Slot `slot` of node `node`; throws std::out_of_range for a bad node.
+  sim::Resource& node_resource(NodeId node, std::uint32_t slot);
 
   sim::Simulator* sim_;
   PlatformParams params_;
   MachineConfig config_;
   sim::FaultPlan faults_;
   Fabric fabric_;
-  std::vector<Node> nodes_;
+  /// Every node's resources in one dense node-major array, in
+  /// for_each_resource order.
+  std::vector<sim::Resource> resources_;
 };
 
 }  // namespace xlupc::net

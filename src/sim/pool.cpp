@@ -1,7 +1,5 @@
 #include "sim/pool.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <new>
 #include <vector>
 
@@ -12,40 +10,35 @@ namespace {
 // 32-byte class granularity up to 2 KiB covers every coroutine frame and
 // callback spill the runtime produces (measured distribution peaks at
 // 64-1024 bytes); anything larger is rare enough to leave to malloc.
+// Blocks are multiples of 32 bytes carved from max_align_t-aligned
+// chunks, so every block is aligned for std::max_align_t.
 constexpr std::size_t kGranularity = 32;
 constexpr std::size_t kMaxBlock = 2048;
 constexpr std::size_t kClasses = kMaxBlock / kGranularity;
 constexpr std::size_t kChunkBytes = 64 * 1024;
-constexpr std::uint32_t kMallocTag = 0xffffffffu;
-constexpr std::uint32_t kMagic = 0x51700000u;  // "SIm POol" tag bits
+static_assert(kGranularity % alignof(std::max_align_t) == 0);
 
-// Prefixed to every block. 16 bytes keeps the returned pointer aligned
-// for std::max_align_t (coroutine frames require it).
-struct alignas(std::max_align_t) Header {
-  std::uint32_t tag;  // kMagic | class index, or kMallocTag
-  std::uint32_t pad;
-  void* next;  // freelist link while the block is free
+// A free block's first bytes hold the freelist link.
+struct FreeBlock {
+  FreeBlock* next;
 };
-static_assert(sizeof(Header) == 16);
 
 struct Pool {
-  void* freelist[kClasses] = {};
+  FreeBlock* freelist[kClasses] = {};
   std::vector<void*> chunks;
   PoolStats stats;
-  bool bypass = false;
 
-  void* carve(std::size_t cls) {
+  FreeBlock* carve(std::size_t cls) {
     // Carve one 64 KiB chunk wholesale into this class's freelist.
-    const std::size_t block = sizeof(Header) + (cls + 1) * kGranularity;
+    const std::size_t block = (cls + 1) * kGranularity;
     const std::size_t count = kChunkBytes / block;
     char* base = static_cast<char*>(::operator new(kChunkBytes));
     chunks.push_back(base);
     ++stats.chunks;
     stats.chunk_bytes += kChunkBytes;
     for (std::size_t i = 0; i < count; ++i) {
-      auto* h = reinterpret_cast<Header*>(base + i * block);
-      h->next = freelist[cls];
-      freelist[cls] = h;
+      auto* b = ::new (base + i * block) FreeBlock{freelist[cls]};
+      freelist[cls] = b;
     }
     return freelist[cls];
   }
@@ -56,18 +49,12 @@ struct Pool {
 // pool must outlive every destructor. The pointer keeps the chunks
 // reachable, which also keeps leak checkers quiet.
 Pool& pool() {
-  static Pool* p = [] {
-    auto* created = new Pool;
-    // XLUPC_SIM_POOL=malloc starts the process in bypass mode — the
-    // whole-process counterpart of pool_set_bypass(true), reproducing the
-    // pre-pool allocation on any binary (docs/PERFORMANCE.md).
-    const char* env = std::getenv("XLUPC_SIM_POOL");
-    if (env != nullptr && std::strcmp(env, "malloc") == 0) {
-      created->bypass = true;
-    }
-    return created;
-  }();
+  static Pool* p = new Pool;
   return *p;
+}
+
+std::size_t size_class(std::size_t bytes) noexcept {
+  return bytes == 0 ? 0 : (bytes - 1) / kGranularity;
 }
 
 }  // namespace
@@ -75,44 +62,33 @@ Pool& pool() {
 void* pool_alloc(std::size_t bytes) {
   Pool& p = pool();
   ++p.stats.allocations;
-  if (bytes == 0) bytes = 1;
-  if (p.bypass || bytes > kMaxBlock) {
+  if (kPoolBypass || bytes > kMaxBlock) {
     if (bytes > kMaxBlock) ++p.stats.oversize;
-    auto* h = static_cast<Header*>(::operator new(sizeof(Header) + bytes));
-    h->tag = kMallocTag;
-    return h + 1;
+    return ::operator new(bytes);
   }
-  const std::size_t cls = (bytes - 1) / kGranularity;
-  void* head = p.freelist[cls];
+  const std::size_t cls = size_class(bytes);
+  FreeBlock* head = p.freelist[cls];
   if (head != nullptr) {
     ++p.stats.reuses;
   } else {
     head = p.carve(cls);
   }
-  auto* h = static_cast<Header*>(head);
-  p.freelist[cls] = h->next;
-  h->tag = kMagic | static_cast<std::uint32_t>(cls);
-  return h + 1;
+  p.freelist[cls] = head->next;
+  return head;
 }
 
-void pool_free(void* ptr) noexcept {
+void pool_free(void* ptr, std::size_t bytes) noexcept {
   if (ptr == nullptr) return;
   Pool& p = pool();
   ++p.stats.frees;
-  auto* h = static_cast<Header*>(ptr) - 1;
-  if (h->tag == kMallocTag) {
-    ::operator delete(h);
+  if (kPoolBypass || bytes > kMaxBlock) {
+    ::operator delete(ptr, bytes);
     return;
   }
-  const std::size_t cls = h->tag & 0xffffu;
-  h->next = p.freelist[cls];
-  p.freelist[cls] = h;
+  const std::size_t cls = size_class(bytes);
+  p.freelist[cls] = ::new (ptr) FreeBlock{p.freelist[cls]};
 }
 
 const PoolStats& pool_stats() noexcept { return pool().stats; }
-
-void pool_set_bypass(bool on) noexcept { pool().bypass = on; }
-
-bool pool_bypass() noexcept { return pool().bypass; }
 
 }  // namespace xlupc::sim

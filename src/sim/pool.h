@@ -11,18 +11,18 @@
 //
 // Design (docs/PERFORMANCE.md):
 //  * classes of 32-byte granularity up to 2 KiB; larger blocks fall
-//    through to operator new. Every block carries a 16-byte header
-//    recording its class, so frees dispatch correctly even for blocks
-//    allocated before a mode switch.
+//    through to operator new. Frees are sized — every caller knows the
+//    size it allocated (sized operator delete, allocator deallocate,
+//    sizeof the spilled callable) — so blocks carry no header and the
+//    class is recomputed from the size.
 //  * backing chunks of 64 KiB are carved whole into a class's freelist
 //    and are never returned to the OS: steady-state simulation reaches a
 //    high-water mark once and allocates nothing afterwards.
 //  * single-threaded by design, like the simulator itself. There is one
 //    process-global pool (coroutine frames outlive any one Simulator).
-//  * pool_set_bypass(true) routes new blocks to operator new — the
-//    pre-refactor allocation behaviour, kept so bench/simspeed can
-//    measure the pool's contribution honestly. Blocks remain tagged, so
-//    the modes can be switched between (not during) simulations.
+//  * under AddressSanitizer the pool is compiled out (kPoolBypass) and
+//    every block comes from operator new, so the sanitizer sees each
+//    coroutine frame's lifetime (frames hold resource waiters).
 //
 // Determinism: pointer values never influence simulation behaviour, so
 // the pool cannot change results — only wall-clock speed.
@@ -31,14 +31,35 @@
 #include <cstddef>
 #include <cstdint>
 
+// gcc defines __SANITIZE_ADDRESS__ under -fsanitize=address; clang
+// reports it through __has_feature.
+#if defined(__SANITIZE_ADDRESS__)
+#define XLUPC_SIM_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define XLUPC_SIM_ASAN 1
+#endif
+#endif
+
 namespace xlupc::sim {
 
-/// Allocate `bytes` from the pool (or operator new in bypass mode /
-/// for oversize blocks). Never returns nullptr; throws std::bad_alloc.
+/// True in AddressSanitizer builds: pool_alloc/pool_free forward to
+/// operator new/delete and the freelists are never used.
+#ifdef XLUPC_SIM_ASAN
+inline constexpr bool kPoolBypass = true;
+#undef XLUPC_SIM_ASAN
+#else
+inline constexpr bool kPoolBypass = false;
+#endif
+
+/// Allocate `bytes` from the pool (or operator new for oversize blocks).
+/// The block is aligned for std::max_align_t. Never returns nullptr;
+/// throws std::bad_alloc.
 void* pool_alloc(std::size_t bytes);
 
-/// Return a pool_alloc'd block to its freelist (or operator delete).
-void pool_free(void* p) noexcept;
+/// Return a block to its freelist (or operator delete). `bytes` must be
+/// the size passed to the pool_alloc call that returned `p`.
+void pool_free(void* p, std::size_t bytes) noexcept;
 
 /// Allocation statistics, for tests and docs/PERFORMANCE.md numbers.
 struct PoolStats {
@@ -51,20 +72,16 @@ struct PoolStats {
 };
 const PoolStats& pool_stats() noexcept;
 
-/// Route future allocations straight to operator new (the pre-pool
-/// behaviour). Existing blocks stay valid: frees consult the per-block
-/// header. Only flip this between simulations.
-void pool_set_bypass(bool on) noexcept;
-bool pool_bypass() noexcept;
-
 /// Mixin giving a class (and, for coroutine promise types, the whole
 /// coroutine frame) pooled allocation. Task<T>::promise_type and
 /// Simulator's detached driver inherit this, which is what removes the
-/// per-operation frame malloc from every co_await chain.
+/// per-operation frame malloc from every co_await chain. Only the sized
+/// delete exists: coroutine frames are always freed with their size.
 struct PooledFrame {
   static void* operator new(std::size_t n) { return pool_alloc(n); }
-  static void operator delete(void* p) noexcept { pool_free(p); }
-  static void operator delete(void* p, std::size_t) noexcept { pool_free(p); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    pool_free(p, n);
+  }
 };
 
 /// STL allocator over the pool, for short-lived containers on the hot
@@ -82,7 +99,7 @@ struct PoolAllocator {
   T* allocate(std::size_t n) {
     return static_cast<T*>(pool_alloc(n * sizeof(T)));
   }
-  void deallocate(T* p, std::size_t) noexcept { pool_free(p); }
+  void deallocate(T* p, std::size_t n) noexcept { pool_free(p, n * sizeof(T)); }
 
   friend bool operator==(const PoolAllocator&, const PoolAllocator&) {
     return true;

@@ -6,11 +6,15 @@
 // behaviour the paper's Field analysis depends on. Busy time, queue-wait
 // time and acquisition counts are tracked so experiments can report
 // utilization and contention (docs/OBSERVABILITY.md).
+//
+// The wait queue is intrusive: each queued waiter is a node inside the
+// suspended acquire()/use() awaiter, which lives in the waiting
+// coroutine's frame until the waiter resumes. Queueing therefore
+// allocates nothing, and a Resource owns no heap storage beyond its name.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "sim/simulator.h"
@@ -24,16 +28,25 @@ class Resource {
       : sim_(&sim), capacity_(capacity), name_(std::move(name)) {}
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
+  /// Movable only while idle (nothing held or queued), so that owners can
+  /// build dense arrays of resources; awaiters point at their Resource.
+  Resource(Resource&&) noexcept = default;
+  Resource& operator=(Resource&&) = delete;
 
   /// Awaitable acquisition of one capacity unit (FIFO). When a unit is
   /// released to a queued waiter it stays reserved until that waiter runs,
   /// so later arrivals can never overtake the queue.
   auto acquire() {
-    struct Awaiter {
+    struct Awaiter : Waiter {
       Resource* r;
+      std::coroutine_handle<> h;
+      explicit Awaiter(Resource* res) : r(res) {}
       bool await_ready() const noexcept { return r->can_grant_now(); }
-      void await_suspend(std::coroutine_handle<> h) {
-        r->queue_.push_back(Waiter{Callback::resume(h), r->sim_->now()});
+      void await_suspend(std::coroutine_handle<> handle) {
+        h = handle;
+        r->enqueue(*this, [](Waiter& w) {
+          return Callback::resume(static_cast<Awaiter&>(w).h);
+        });
       }
       void await_resume() const { r->granted(); }
     };
@@ -51,10 +64,11 @@ class Resource {
   /// Event scheduling is identical to the coroutine form, so simulations
   /// are byte-for-byte unchanged.
   auto use(Duration d) {
-    struct UseAwaiter {
+    struct UseAwaiter : Waiter {
       Resource* r;
       Duration d;
       std::coroutine_handle<> cont;
+      UseAwaiter(Resource* res, Duration hold_for) : r(res), d(hold_for) {}
 
       bool await_ready() {
         // Fully synchronous when the unit is free and the hold is zero
@@ -72,21 +86,24 @@ class Resource {
           r->granted();
           hold();
         } else {
-          r->queue_.push_back(
-              Waiter{Callback([this] {
-                       r->granted();
-                       if (d == 0) {
-                         r->release();
-                         cont.resume();
-                       } else {
-                         hold();
-                       }
-                     }),
-                     r->sim_->now()});
+          r->enqueue(*this, [](Waiter& w) {
+            auto* self = static_cast<UseAwaiter*>(&w);
+            return Callback([self] { self->run(); });
+          });
         }
       }
       void await_resume() const noexcept {}
 
+      // The handoff event: the unit reserved in release() is now ours.
+      void run() {
+        r->granted();
+        if (d == 0) {
+          r->release();
+          cont.resume();
+        } else {
+          hold();
+        }
+      }
       // Unit held: schedule the release at the end of the hold.
       void hold() {
         r->sim_->schedule_after(d, Callback([this] {
@@ -95,13 +112,13 @@ class Resource {
                                 }));
       }
     };
-    return UseAwaiter{this, d, {}};
+    return UseAwaiter{this, d};
   }
 
   const std::string& name() const noexcept { return name_; }
   std::uint64_t capacity() const noexcept { return capacity_; }
   std::uint64_t in_use() const noexcept { return in_use_; }
-  std::uint64_t queue_length() const noexcept { return queue_.size(); }
+  std::uint64_t queue_length() const noexcept { return queue_length_; }
 
   /// Accumulated unit-busy nanoseconds (integral of in_use over time)
   /// since construction or the last reset_usage().
@@ -125,15 +142,31 @@ class Resource {
   void reset_usage();
 
  private:
+  /// A queued acquire()/use(), embedded in its awaiter. release() posts
+  /// the event `handoff` builds, which grants the waiter its reserved unit.
   struct Waiter {
-    Callback cb;  ///< resumes the waiter (or runs a UseAwaiter grant)
-    Time enqueued;
+    Waiter* next = nullptr;
+    Time enqueued = 0;
+    Callback (*handoff)(Waiter&) = nullptr;
   };
+
+  void enqueue(Waiter& w, Callback (*handoff)(Waiter&)) noexcept {
+    w.next = nullptr;
+    w.enqueued = sim_->now();
+    w.handoff = handoff;
+    if (tail_ == nullptr) {
+      head_ = &w;
+    } else {
+      tail_->next = &w;
+    }
+    tail_ = &w;
+    ++queue_length_;
+  }
 
   /// A fresh acquire can proceed immediately: a unit is free and nobody
   /// is queued ahead (released units stay reserved for queued waiters).
   bool can_grant_now() const noexcept {
-    return in_use_ < capacity_ && queue_.empty() && pending_handoffs_ == 0;
+    return in_use_ < capacity_ && head_ == nullptr && pending_handoffs_ == 0;
   }
   /// Bookkeeping common to every successful acquisition.
   void granted() {
@@ -148,17 +181,20 @@ class Resource {
   void grant_one();
   void account() const;
 
+  // An uncontended use()/release() touches only the first 64 bytes.
   Simulator* sim_;
+  Waiter* head_ = nullptr;
   std::uint64_t capacity_;
-  std::string name_;
   std::uint64_t in_use_ = 0;
-  std::deque<Waiter> queue_;
-  mutable std::uint64_t pending_handoffs_ = 0;
+  std::uint64_t pending_handoffs_ = 0;
   mutable Time last_change_ = 0;
   mutable Duration busy_accum_ = 0;
-  Duration queue_wait_accum_ = 0;
   std::uint64_t acquisitions_ = 0;
+  Waiter* tail_ = nullptr;
+  Duration queue_wait_accum_ = 0;
+  std::uint64_t queue_length_ = 0;
   Time usage_epoch_ = 0;
+  std::string name_;
 };
 
 /// Acquire `r`, hold it for `d`, release — the common usage pattern.

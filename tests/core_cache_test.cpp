@@ -1,6 +1,11 @@
 // Tests for the remote address cache — the paper's core data structure.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <list>
+#include <optional>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/address_cache.h"
@@ -104,6 +109,154 @@ TEST(AddressCache, ResetStatsKeepsEntries) {
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.size(), 1u);
 }
+
+// Differential check of the flat table against the textbook LRU it
+// replaced: a std::list in recency order plus a std::unordered_map from
+// key to list position.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::size_t max_entries) : max_(max_entries) {}
+
+  std::optional<net::BaseInfo> lookup(const CacheKey& key) {
+    auto it = map_.find(key);
+    if (it == map_.end()) {
+      ++stats.misses;
+      return std::nullopt;
+    }
+    ++stats.hits;
+    lru_.splice(lru_.begin(), lru_, it->second.second);
+    return it->second.first;
+  }
+  /// Returns the evicted key, if any.
+  std::optional<CacheKey> insert(const CacheKey& key, net::BaseInfo info) {
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+      it->second.first = info;
+      lru_.splice(lru_.begin(), lru_, it->second.second);
+      return std::nullopt;
+    }
+    std::optional<CacheKey> victim;
+    if (max_ != 0 && map_.size() >= max_) {
+      victim = lru_.back();
+      lru_.pop_back();
+      map_.erase(*victim);
+      ++stats.evictions;
+    }
+    lru_.push_front(key);
+    map_.emplace(key, std::pair{info, lru_.begin()});
+    ++stats.insertions;
+    return victim;
+  }
+  template <class Match>
+  void invalidate_if(Match match) {
+    for (auto it = map_.begin(); it != map_.end();) {
+      if (match(it->first)) {
+        lru_.erase(it->second.second);
+        it = map_.erase(it);
+        ++stats.invalidations;
+      } else {
+        ++it;
+      }
+    }
+  }
+  std::size_t size() const { return map_.size(); }
+
+  AddressCacheStats stats;
+
+ private:
+  struct Hash {
+    std::size_t operator()(const CacheKey& k) const {
+      return std::hash<std::uint64_t>()(k.handle * 1000003 + k.node * 31 +
+                                        k.chunk);
+    }
+  };
+  std::size_t max_;
+  std::list<CacheKey> lru_;
+  std::unordered_map<CacheKey,
+                     std::pair<net::BaseInfo, std::list<CacheKey>::iterator>,
+                     Hash>
+      map_;
+};
+
+void expect_same(const AddressCache& cache, const ReferenceLru& ref) {
+  EXPECT_EQ(cache.size(), ref.size());
+  EXPECT_EQ(cache.stats().hits, ref.stats.hits);
+  EXPECT_EQ(cache.stats().misses, ref.stats.misses);
+  EXPECT_EQ(cache.stats().insertions, ref.stats.insertions);
+  EXPECT_EQ(cache.stats().evictions, ref.stats.evictions);
+  EXPECT_EQ(cache.stats().invalidations, ref.stats.invalidations);
+}
+
+void expect_same(const std::optional<net::BaseInfo>& a,
+                 const std::optional<net::BaseInfo>& b) {
+  ASSERT_EQ(a.has_value(), b.has_value());
+  if (a) {
+    EXPECT_EQ(a->base, b->base);
+    EXPECT_EQ(a->key, b->key);
+  }
+}
+
+class AddressCacheDifferential
+    : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(AddressCacheDifferential, MatchesReferenceLruOnRandomSequences) {
+  // 16 handles x 8 nodes x 2 chunks = 256 keys: more than every bounded
+  // size, so evictions happen, and enough to grow the unbounded table.
+  const std::size_t max_entries = GetParam();
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    AddressCache cache(max_entries);
+    ReferenceLru ref(max_entries);
+    sim::Rng rng(seed * 7919 + max_entries);
+    auto random_key = [&rng] {
+      return CacheKey{rng.below(16), static_cast<NodeId>(rng.below(8)),
+                      static_cast<std::uint32_t>(rng.below(2))};
+    };
+    for (int op = 0; op < 6000; ++op) {
+      const std::uint64_t dice = rng.below(100);
+      if (dice < 45) {
+        const CacheKey k = random_key();
+        expect_same(cache.lookup(k), ref.lookup(k));
+      } else if (dice < 85) {
+        const CacheKey k = random_key();
+        const net::BaseInfo v{rng.below(1u << 20), rng.below(1u << 16)};
+        cache.insert(k, v);
+        if (const std::optional<CacheKey> victim = ref.insert(k, v)) {
+          // The flat table must have evicted the same entry (a miss
+          // changes no recency, so probing keeps both in step).
+          expect_same(cache.lookup(*victim), ref.lookup(*victim));
+        }
+      } else if (dice < 93) {
+        const CacheKey k = random_key();
+        cache.invalidate(k);
+        ref.invalidate_if([&k](const CacheKey& x) { return x == k; });
+      } else if (dice < 97) {
+        const std::uint64_t h = rng.below(16);
+        cache.invalidate_handle(h);
+        ref.invalidate_if([h](const CacheKey& x) { return x.handle == h; });
+      } else {
+        const auto n = static_cast<NodeId>(rng.below(8));
+        cache.invalidate_node(n);
+        ref.invalidate_if([n](const CacheKey& x) { return x.node == n; });
+      }
+      expect_same(cache, ref);
+      if (::testing::Test::HasFailure()) return;
+    }
+    // Same final contents: probe every key in both.
+    for (std::uint64_t h = 0; h < 16; ++h) {
+      for (NodeId n = 0; n < 8; ++n) {
+        for (std::uint32_t c = 0; c < 2; ++c) {
+          expect_same(cache.lookup(CacheKey{h, n, c}),
+                      ref.lookup(CacheKey{h, n, c}));
+        }
+      }
+    }
+    expect_same(cache, ref);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MaxEntries, AddressCacheDifferential,
+                         ::testing::Values(0, 1, 4, 100));
 
 // The paper's key working-set property (Fig. 8a): with uniform random
 // accesses over k distinct keys and an LRU cache of S entries, the

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "net/machine.h"
@@ -119,6 +120,22 @@ TEST(Machine, ProvidesPerNodeResources) {
   }
   EXPECT_THROW(m.core(0, 2), std::out_of_range);
   EXPECT_THROW(m.core(4, 0), std::out_of_range);
+  EXPECT_THROW(m.comm_cpu(4), std::out_of_range);
+  EXPECT_THROW(m.nic_tx(4), std::out_of_range);
+  EXPECT_THROW(m.nic_dma(4), std::out_of_range);
+}
+
+TEST(Machine, VisitsResourcesNodeMajorInNameOrder) {
+  sim::Simulator sim;
+  Machine m(sim, mare_nostrum_gm(), mc(2, 2));
+  std::vector<std::string> names;
+  m.for_each_resource(
+      [&names](const sim::Resource& r) { names.push_back(r.name()); });
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "n0.core0", "n0.core1", "n0.comm", "n0.nic_tx",
+                       "n0.nic_dma", "n1.core0", "n1.core1", "n1.comm",
+                       "n1.nic_tx", "n1.nic_dma"}));
+  EXPECT_EQ(m.nic_dma(1).name(), "n1.nic_dma");
 }
 
 TEST(Machine, RejectsZeroConfig) {

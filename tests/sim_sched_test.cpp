@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <queue>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -184,37 +187,67 @@ TEST(EventQueueStorage, SlabStopsGrowingUnderChurn) {
 
 TEST(PoolAllocator, ReusesFreedBlocksWithoutNewChunks) {
   // Prime the size class, then churn it: every allocation must be served
-  // from the freelist (no new chunks carved).
-  sim::pool_free(sim::pool_alloc(128));
+  // from the freelist (no new chunks carved). Under ASan the pool is
+  // compiled out and every block comes from operator new instead.
+  sim::pool_free(sim::pool_alloc(128), 128);
   const sim::PoolStats before = sim::pool_stats();
   for (int i = 0; i < 1000; ++i) {
     void* p = sim::pool_alloc(128);
-    sim::pool_free(p);
+    sim::pool_free(p, 128);
   }
   const sim::PoolStats after = sim::pool_stats();
+  EXPECT_EQ(after.allocations, before.allocations + 1000);
+  EXPECT_EQ(after.frees, before.frees + 1000);
   EXPECT_EQ(after.chunks, before.chunks);
   EXPECT_EQ(after.chunk_bytes, before.chunk_bytes);
-  EXPECT_EQ(after.reuses, before.reuses + 1000);
+  EXPECT_EQ(after.reuses, before.reuses + (sim::kPoolBypass ? 0 : 1000));
 }
 
-TEST(PoolAllocator, TaggedHeadersSurviveModeSwitches) {
-  // Blocks are tagged with their origin, so frees dispatch correctly
-  // even across pool_set_bypass flips.
-  ASSERT_FALSE(sim::pool_bypass());
-  void* pooled = sim::pool_alloc(64);
-  sim::pool_set_bypass(true);
-  void* heaped = sim::pool_alloc(64);
-  sim::pool_free(pooled);  // pooled block freed while bypass is on
-  sim::pool_set_bypass(false);
-  sim::pool_free(heaped);  // malloc'd block freed while bypass is off
-  const sim::PoolStats st = sim::pool_stats();
-  EXPECT_GE(st.frees, 2u);
+TEST(PoolAllocator, SizedFreeReturnsBlockToItsClass) {
+  // Blocks carry no header: the size passed to pool_free picks the
+  // 32-byte class, so a 100-byte block is the next 97..128-byte block.
+  void* p = sim::pool_alloc(100);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % alignof(std::max_align_t),
+            0u);
+  sim::pool_free(p, 100);
+  void* q = sim::pool_alloc(97);
+  if (!sim::kPoolBypass) {
+    EXPECT_EQ(q, p);
+  }
+  sim::pool_free(q, 97);
+}
+
+TEST(PoolAllocator, HeaderlessBlocksFillChunksExactly) {
+  // With no per-block header a 64 KiB chunk carves into exactly 32
+  // blocks of the 2 KiB class. Allocate until a chunk is carved, then
+  // count the allocations up to the next carve.
+  std::vector<void*> held;
+  auto alloc = [&held] {
+    held.push_back(sim::pool_alloc(2048));
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(held.back()) %
+                  alignof(std::max_align_t),
+              0u);
+  };
+  const std::uint64_t start = sim::pool_stats().chunks;
+  while (sim::pool_stats().chunks == start && held.size() < 64) alloc();
+  if (sim::kPoolBypass) {
+    EXPECT_EQ(sim::pool_stats().chunks, start);  // never carves
+  } else {
+    const std::uint64_t carved = sim::pool_stats().chunks;
+    std::size_t count = 0;
+    while (sim::pool_stats().chunks == carved && count < 64) {
+      alloc();
+      ++count;
+    }
+    EXPECT_EQ(count, 64u * 1024 / 2048);
+  }
+  for (void* p : held) sim::pool_free(p, 2048);
 }
 
 TEST(PoolAllocator, OversizeBlocksFallThrough) {
   const sim::PoolStats before = sim::pool_stats();
   void* big = sim::pool_alloc(1 << 20);
-  sim::pool_free(big);
+  sim::pool_free(big, 1 << 20);
   EXPECT_EQ(sim::pool_stats().oversize, before.oversize + 1);
 }
 
@@ -230,6 +263,42 @@ TEST(CallbackType, InlineCaptureSurvivesMove) {
   Callback b(std::move(a));  // relocate within the inline buffer
   b();
   EXPECT_EQ(hits, 7);
+}
+
+TEST(CallbackType, NonTrivialInlineCallableMovesThroughItsConstructor) {
+  // Trivially copyable callables relocate as a byte copy; anything else
+  // must still go through its move constructor, and every object built
+  // along the way must be destroyed exactly once.
+  struct Tracked {
+    int* moves;
+    int* live;
+    Tracked(int* m, int* l) : moves(m), live(l) { ++*live; }
+    Tracked(Tracked&& o) noexcept : moves(o.moves), live(o.live) {
+      ++*moves;
+      ++*live;
+    }
+    Tracked(const Tracked&) = delete;
+    ~Tracked() { --*live; }
+    void operator()() const { ++*moves; }
+  };
+  static_assert(!std::is_trivially_copyable_v<Tracked>);
+  int moves = 0;
+  int live = 0;
+  {
+    Callback a(Tracked{&moves, &live});  // moved into the inline buffer
+    EXPECT_EQ(moves, 1);
+    EXPECT_EQ(live, 1);
+    Callback b(std::move(a));
+    EXPECT_EQ(moves, 2);
+    EXPECT_EQ(live, 1);
+    Callback c;
+    c = std::move(b);
+    EXPECT_EQ(moves, 3);
+    EXPECT_EQ(live, 1);
+    c();
+    EXPECT_EQ(moves, 4);
+  }
+  EXPECT_EQ(live, 0);
 }
 
 TEST(CallbackType, SpilledCaptureSurvivesMove) {

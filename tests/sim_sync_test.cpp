@@ -2,6 +2,8 @@
 // CountdownLatch, CyclicBarrier and the FIFO Resource.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <ostream>
 #include <vector>
 
 #include "sim/resource.h"
@@ -249,6 +251,128 @@ TEST(Resource, QueueLengthVisibleWhileContended) {
   EXPECT_EQ(mid_run, 3u);
   EXPECT_EQ(r.queue_length(), 0u);
   EXPECT_EQ(r.in_use(), 0u);
+}
+
+// Mixed acquire() and use() waiters, including zero-length holds, share
+// one FIFO: each job is granted in arrival order as units free up, and
+// the statistics come out exact.
+struct Job {
+  double arrive_us;
+  bool use;  // use(hold) rather than acquire() + delay(hold) + release()
+  double hold_us;
+};
+
+struct MixedCase {
+  std::uint64_t capacity;
+  std::vector<Job> jobs;
+  std::vector<double> granted_us;  // expected grant time per job
+  double queue_wait_us;
+  double busy_us;
+  double end_us;
+};
+
+// Names the ctest case; gtest would otherwise print the raw bytes,
+// heap pointers included, and the name would change run to run.
+void PrintTo(const MixedCase& c, std::ostream* os) {
+  *os << "capacity" << c.capacity;
+}
+
+class ResourceMixedFifo : public ::testing::TestWithParam<MixedCase> {};
+
+TEST_P(ResourceMixedFifo, GrantsInArrivalOrderWithExactStatistics) {
+  const MixedCase& c = GetParam();
+  Simulator sim;
+  Resource r(sim, c.capacity);
+  std::vector<Time> granted(c.jobs.size());
+  for (std::size_t i = 0; i < c.jobs.size(); ++i) {
+    sim.spawn([](Simulator& s, Resource& res, Job j, Time& g) -> Task<> {
+      co_await s.delay(us(j.arrive_us));
+      if (j.use) {
+        co_await res.use(us(j.hold_us));
+        g = s.now() - us(j.hold_us);
+      } else {
+        co_await res.acquire();
+        g = s.now();
+        co_await s.delay(us(j.hold_us));
+        res.release();
+      }
+    }(sim, r, c.jobs[i], granted[i]));
+  }
+  // Every job but the first `capacity` has arrived and is queued.
+  std::uint64_t queued = 0;
+  sim.schedule_at(us(c.jobs.back().arrive_us + 0.5),
+                  [&] { queued = r.queue_length(); });
+  const Time end = sim.run();
+  EXPECT_EQ(queued, c.jobs.size() - c.capacity);
+  for (std::size_t i = 0; i < c.jobs.size(); ++i) {
+    EXPECT_EQ(granted[i], us(c.granted_us[i])) << "job " << i;
+  }
+  EXPECT_EQ(end, us(c.end_us));
+  EXPECT_EQ(r.queue_length(), 0u);
+  EXPECT_EQ(r.in_use(), 0u);
+  EXPECT_EQ(r.acquisitions(), c.jobs.size());
+  EXPECT_EQ(r.queue_wait_time(), us(c.queue_wait_us));
+  EXPECT_EQ(r.busy_time(), us(c.busy_us));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, ResourceMixedFifo,
+    ::testing::Values(
+        // Capacity 1: the holder releases at 10; W1's zero hold hands
+        // straight on to W2 at 10, then W3 at 15 and W4 at 19.
+        MixedCase{1,
+                  {{0, false, 10},
+                   {1, true, 0},
+                   {2, false, 5},
+                   {3, true, 4},
+                   {4, true, 0}},
+                  {0, 10, 10, 15, 19},
+                  9 + 8 + 12 + 15,
+                  10 + 5 + 4,
+                  19},
+        // Capacity 2: each release serves the queue head: W1 and W2 at
+        // 10 (H1), W3 at 12 (H2), W4 at 15 (W2) while W3 holds to 16.
+        MixedCase{2,
+                  {{0, false, 10},
+                   {0, true, 12},
+                   {1, true, 0},
+                   {2, false, 5},
+                   {3, true, 4},
+                   {4, true, 0}},
+                  {0, 0, 10, 10, 12, 15},
+                  9 + 8 + 9 + 11,
+                  10 + 12 + 5 + 4,
+                  16}));
+
+TEST(Resource, SimulatorDestroyedWithParkedWaitersFreesTheirFrames) {
+  // Queued waiters live in their coroutine frames. Destroying the
+  // simulator mid-run destroys those frames; nothing may touch them
+  // afterwards (the sanitizer build sees every frame: the pool is off).
+  struct Guard {
+    int* live;
+    explicit Guard(int* l) : live(l) { ++*live; }
+    ~Guard() { --*live; }
+  };
+  int live = 0;
+  auto sim = std::make_unique<Simulator>();
+  Resource r(*sim, 1);
+  for (int i = 0; i < 4; ++i) {
+    sim->spawn([](Simulator& s, Resource& res, int& n, bool acq) -> Task<> {
+      Guard g(&n);
+      if (acq) {
+        co_await res.acquire();
+        co_await s.delay(us(100));
+        res.release();
+      } else {
+        co_await res.use(us(100));
+      }
+    }(*sim, r, live, i % 2 == 0));
+  }
+  sim->run_until(us(50));
+  EXPECT_EQ(live, 4);
+  EXPECT_EQ(r.queue_length(), 3u);
+  sim.reset();
+  EXPECT_EQ(live, 0);
 }
 
 // Property sweep: N producers through a capacity-C resource always finish
