@@ -93,9 +93,11 @@ struct PlatformParams {
   sim::Duration rnr_backoff = 0;
 
   // --- behaviour flags ---
-  /// True when the transport makes progress independently of the target
-  /// CPU's application work (LAPI: dedicated communication processor).
-  /// False for GM: AM handlers contend with computation on the target
+  /// Selects the CPU that runs AM handlers. True when the transport
+  /// makes progress independently of the target CPU's application work:
+  /// handlers run on the node's comm CPU (LAPI: dedicated communication
+  /// processor; IB: the verbs progress engine). False for GM: handlers
+  /// run on, and contend with computation for, the target application
   /// core, so communication does not overlap computation (Sec. 4.6).
   bool comm_comp_overlap = false;
   /// Default for "use the address cache for PUT" — the paper disables it

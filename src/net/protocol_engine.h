@@ -1,16 +1,16 @@
 // Shared per-link transport protocol core (docs/COMM_ENGINE.md).
 //
 // Every wire traversal — eager AM legs, rendezvous control frames, RDMA
-// descriptors and payloads, on GM and on LAPI alike — runs through one
+// descriptors and payloads, on GM, LAPI and IB alike — runs through one
 // ProtocolEngine. It owns the whole reliability state machine the two
 // transports used to duplicate: per-link sequence stamping, the
 // ACK/timeout/retransmission loop with capped exponential backoff,
 // duplicate suppression against the delivered high-water mark, and the
 // NIC-stall / node-slowdown bookkeeping of the fault plan
-// (docs/FAULTS.md). The transports themselves keep only their genuinely
-// different policies: which CPU serves AM handlers (GM: the application
-// core; LAPI: the communication processor) and the eager/rendezvous
-// threshold parameters.
+// (docs/FAULTS.md). What differs between machines lives in
+// net::Transport as parameters — which CPU serves AM handlers
+// (comm_comp_overlap), the eager/rendezvous thresholds — and, on IB,
+// in the ib::Verbs connection layer.
 //
 // With the null fault plan, deliver() collapses to exactly one latency
 // delay — same event count, same timing, byte-identical reports as a
@@ -49,8 +49,8 @@ struct ProtocolStats {
   std::uint64_t link_resyncs = 0;     ///< seqno resyncs after reconnection
 };
 
-/// The per-link protocol state machine shared by GmTransport and
-/// LapiTransport. One instance per Transport; links are keyed by the
+/// The per-link protocol state machine under every backend's wire legs.
+/// One instance per Transport; links are keyed by the
 /// (src, dst) node pair.
 class ProtocolEngine {
  public:

@@ -1,10 +1,11 @@
 #include "net/transport.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <utility>
 
-#include "net/ib/ib_transport.h"
+#include "net/ib/verbs.h"
 
 namespace xlupc::net {
 
@@ -17,7 +18,12 @@ Transport::Transport(Machine& machine, AmTarget& target)
   for (std::uint32_t n = 0; n < machine.nodes(); ++n) {
     reg_caches_.emplace_back(machine.params().max_dmaable_bytes);
   }
+  if (machine.params().kind == TransportKind::kIb) {
+    verbs_ = std::make_unique<ib::Verbs>(machine, protocol_, stats_);
+  }
 }
+
+Transport::~Transport() = default;
 
 void Transport::reset_stats() {
   stats_ = TransportStats{};
@@ -48,13 +54,14 @@ const TransportStats& Transport::stats() const noexcept {
   return merged_stats_;
 }
 
-void Transport::on_peer_dead(NodeId /*node*/) {
-  // GM/LAPI keep no per-peer connection state: nothing to tear down.
-  // In-flight legs to the dead peer fail fast inside the protocol
-  // engine's delivery loop instead of burning the retransmit budget.
+void Transport::peer_dead(NodeId node) {
+  protocol_.declare_peer_dead(node);
+  if (verbs_) verbs_->fence_peer(node);
 }
 
-void Transport::on_link_down(NodeId /*a*/, NodeId /*b*/) {}
+void Transport::on_link_down(NodeId a, NodeId b) {
+  if (verbs_) verbs_->on_link_down(a, b);
+}
 
 AmTarget::BatchServe AmTarget::serve_batch(NodeId target, RdmaBatch&& batch) {
   // Default routing: each member goes through the ordinary AM handlers
@@ -152,8 +159,7 @@ void TransportStats::fold_into(sim::MetricsRegistry& reg, bool faults_enabled,
   }
 }
 
-Task<void> Transport::charge_reg_cache(sim::Resource& cpu, NodeId node,
-                                       Addr addr, std::size_t len) {
+Duration Transport::reg_cache_cost(NodeId node, Addr addr, std::size_t len) {
   const auto& p = machine_.params();
   const auto rl = reg_caches_[node].ensure(addr, len);
   Duration cost = 0;
@@ -162,12 +168,16 @@ Task<void> Transport::charge_reg_cache(sim::Resource& cpu, NodeId node,
     // impossible, so the transfer degrades to staging through bounce
     // buffers — one extra host copy instead of an aborted (or cap-
     // overshooting) registration.
-    ++stats_.bounce_fallbacks;
-    cost += p.copy_time(len);
+    cost += bounce_cost(len);
   } else if (!rl.hit) {
     cost += p.reg_time(rl.registered, 1);
   }
-  cost += p.dereg_base * rl.evicted_regions;  // lazy deregistration bill
+  return cost + p.dereg_base * rl.evicted_regions;  // lazy dereg bill
+}
+
+Task<void> Transport::charge_reg_cache(sim::Resource& cpu, NodeId node,
+                                       Addr addr, std::size_t len) {
+  const Duration cost = reg_cache_cost(node, addr, len);
   if (cost != 0) co_await cpu.use(cost);
 }
 
@@ -176,6 +186,13 @@ Task<void> Transport::ensure_local_registered(Initiator from, Addr key,
   co_await charge_reg_cache(machine_.core(from.node, from.core), from.node,
                             key, len);
 }
+
+// Verbs hooks. On IB every initiator path posts one WQE per request and
+// retires it on its last initiator step (Verbs::complete), or flushes it
+// when a leg throws (Verbs::flush), so no exit path leaks a send-queue
+// slot. Two-sided legs post after the send_overhead charge, one-sided
+// legs and NIC atomics before their descriptor setup charge. GM/LAPI pay
+// one null-pointer test per hook and nothing else.
 
 // ---------------------------------------------------------------- GET ---
 
@@ -192,120 +209,150 @@ Task<GetReply> Transport::get_eager(Initiator from, NodeId dst,
                                     GetRequest req) {
   auto& sim = machine_.simulator();
   const auto& p = machine_.params();
+  auto& core = machine_.core(from.node, from.core);
 
   // Initiator: build and post the AM request (Fig. 5: "send Active Msg").
-  co_await machine_.core(from.node, from.core).use(p.send_overhead);
-  co_await machine_.nic_tx(from.node)
-      .use(p.nic_tx_overhead + machine_.serialize_with_header(0));
-  stats_.wire_bytes += p.header_bytes;
-  co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
-                   p.nic_tx_overhead + machine_.serialize_with_header(0),
-                   p.header_bytes);
+  // A verbs request is header-only, so its WQE carries it inline.
+  co_await core.use(p.send_overhead);
+  if (verbs_) co_await verbs_->post(from.node, dst);
+  try {
+    co_await machine_.nic_tx(from.node).use(tx_cost(0));
+    co_await wire(from.node, dst, 0);
 
-  // Target: header handler translates the SVD handle, optionally pins the
-  // object, and copies the data into a bounce buffer.
-  auto& hcpu = handler_cpu(dst, req.target_core);
-  co_await hcpu.acquire();
-  co_await sim.delay(scaled(dst, p.recv_overhead + p.svd_lookup));
-  auto serve = target_.serve_get(dst, req);
-  Duration extra = p.reg_time(serve.reg_new_bytes, serve.reg_new_handles) +
-                   p.dereg_base * serve.reg_evicted_handles;
-  extra += p.copy_time(req.len);  // copy into the send bounce buffer
-  co_await sim.delay(scaled(dst, extra));
-  hcpu.release();
+    // Target: header handler translates the SVD handle, optionally pins
+    // the object, and copies the data into a bounce buffer.
+    auto& hcpu = handler_cpu(dst, req.target_core);
+    co_await hcpu.acquire();
+    co_await sim.delay(scaled(dst, p.recv_overhead + p.svd_lookup));
+    auto serve = target_.serve_get(dst, req);
+    co_await sim.delay(scaled(dst, pin_cost(serve) + p.copy_time(req.len)));
+    hcpu.release();
 
-  // Reply carrying the data (plus the piggybacked base address).
-  co_await machine_.nic_tx(dst).use(p.nic_tx_overhead +
-                                    machine_.serialize_with_header(req.len));
-  stats_.wire_bytes += p.header_bytes + req.len;
-  co_await deliver(dst, from.node, &machine_.nic_tx(dst),
-                   p.nic_tx_overhead + machine_.serialize_with_header(req.len),
-                   p.header_bytes + req.len);
+    // Reply carrying the data (plus the piggybacked base address).
+    co_await machine_.nic_tx(dst).use(tx_cost(req.len));
+    co_await wire(dst, from.node, req.len);
 
-  // Initiator: receive dispatch; small replies land in a preposted bounce
-  // buffer and are copied out, larger ones land in place.
-  Duration recv_cost = p.recv_overhead;
-  if (req.len <= p.both_copy_limit) recv_cost += p.copy_time(req.len);
-  co_await machine_.core(from.node, from.core).use(recv_cost);
-
-  co_return GetReply{std::move(serve.data), serve.base};
+    // Initiator: small replies land in a preposted bounce buffer and are
+    // copied out, larger ones land in place.
+    Duration recv_cost = completion_cost();
+    if (req.len <= p.both_copy_limit) recv_cost += p.copy_time(req.len);
+    co_await core.use(recv_cost);
+    if (verbs_) verbs_->complete(from.node, dst);
+    co_return GetReply{std::move(serve.data), serve.base};
+  } catch (...) {
+    if (verbs_) verbs_->flush(from.node, dst);
+    throw;
+  }
 }
 
 Task<GetReply> Transport::get_rendezvous(Initiator from, NodeId dst,
                                          GetRequest req) {
   auto& sim = machine_.simulator();
   const auto& p = machine_.params();
+  auto& core = machine_.core(from.node, from.core);
 
-  // Initiator: post the request; pre-register the private receive buffer
-  // for zero-copy delivery (registration cache, lazy deregistration).
-  co_await machine_.core(from.node, from.core).use(p.send_overhead);
+  // Initiator: pre-register the private receive buffer for zero-copy
+  // delivery (registration cache, lazy deregistration), post the request.
+  co_await core.use(p.send_overhead);
   if (req.local_buf != kNullAddr) {
-    co_await charge_reg_cache(machine_.core(from.node, from.core), from.node,
-                              req.local_buf, req.len);
+    co_await charge_reg_cache(core, from.node, req.local_buf, req.len);
   }
-  co_await machine_.nic_tx(from.node)
-      .use(p.nic_tx_overhead + machine_.serialize_with_header(0));
-  stats_.wire_bytes += p.header_bytes;
-  co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
-                   p.nic_tx_overhead + machine_.serialize_with_header(0),
-                   p.header_bytes);
+  if (verbs_) co_await verbs_->post(from.node, dst);
+  try {
+    co_await machine_.nic_tx(from.node).use(tx_cost(0));
+    co_await wire(from.node, dst, 0);
 
-  // Target: translate, register the source region, directed zero-copy send.
-  auto& hcpu = handler_cpu(dst, req.target_core);
-  co_await hcpu.acquire();
-  co_await sim.delay(scaled(dst, p.recv_overhead + p.svd_lookup));
-  auto serve = target_.serve_get(dst, req);
-  const Duration pin_cost =
-      p.reg_time(serve.reg_new_bytes, serve.reg_new_handles) +
-      p.dereg_base * serve.reg_evicted_handles;
-  co_await sim.delay(scaled(dst, pin_cost));
-  const auto rl = reg_caches_[dst].ensure(serve.src_addr, req.len);
-  Duration reg_cost = 0;
-  if (rl.bounced) {
-    ++stats_.bounce_fallbacks;
-    reg_cost += p.copy_time(req.len);  // stage through bounce buffers
-  } else if (!rl.hit) {
-    reg_cost += p.reg_time(rl.registered, 1);
+    // Target: translate, register the source region, directed zero-copy
+    // send. On IB a transient registration failure is receiver-not-ready:
+    // the request is NAKed and re-sent, up to the retry budget, then
+    // staged through bounce buffers. The handler runs exactly once, in
+    // the round that admits the request.
+    AmTarget::GetServe serve;
+    for (std::uint32_t attempt = 0;; ++attempt) {
+      auto& hcpu = handler_cpu(dst, req.target_core);
+      co_await hcpu.acquire();
+      co_await sim.delay(scaled(dst, p.recv_overhead + p.svd_lookup));
+      const bool pin_fail = rnr_pin_fails(dst);
+      if (pin_fail && attempt < p.rnr_retry_limit) {
+        hcpu.release();
+        co_await rnr_retry(from, dst);
+        continue;
+      }
+      serve = target_.serve_get(dst, req);
+      // GM/LAPI bill the pinning before the registration-cache lookup,
+      // IB bills both in one step.
+      Duration cost = pin_cost(serve);
+      if (!verbs_) {
+        co_await sim.delay(scaled(dst, cost));
+        cost = 0;
+      }
+      cost += pin_fail ? bounce_cost(req.len)
+                       : reg_cache_cost(dst, serve.src_addr, req.len);
+      co_await sim.delay(scaled(dst, cost));
+      hcpu.release();
+      break;
+    }
+
+    co_await machine_.nic_tx(dst).use(tx_cost(req.len));
+    co_await wire(dst, from.node, req.len);
+
+    // Zero-copy landing: completion notification only.
+    co_await core.use(completion_cost());
+    if (verbs_) verbs_->complete(from.node, dst);
+    co_return GetReply{std::move(serve.data), serve.base};
+  } catch (...) {
+    if (verbs_) verbs_->flush(from.node, dst);
+    throw;
   }
-  reg_cost += p.dereg_base * rl.evicted_regions;
-  co_await sim.delay(scaled(dst, reg_cost));
-  hcpu.release();
+}
 
-  co_await machine_.nic_tx(dst).use(p.nic_tx_overhead +
-                                    machine_.serialize_with_header(req.len));
-  stats_.wire_bytes += p.header_bytes + req.len;
-  co_await deliver(dst, from.node, &machine_.nic_tx(dst),
-                   p.nic_tx_overhead + machine_.serialize_with_header(req.len),
-                   p.header_bytes + req.len);
-
-  // Zero-copy landing: completion notification only.
-  co_await machine_.core(from.node, from.core).use(p.recv_overhead);
-  co_return GetReply{std::move(serve.data), serve.base};
+Task<void> Transport::rnr_retry(Initiator from, NodeId dst) {
+  const auto& p = machine_.params();
+  auto& core = machine_.core(from.node, from.core);
+  ++stats_.rnr_naks;
+  // RNR NAK frame back; the NAKed WQE completes in error at the
+  // initiator, which waits out the RNR timer and re-posts the request.
+  co_await machine_.nic_tx(dst).use(tx_cost(0));
+  co_await wire(dst, from.node, 0);
+  co_await core.use(p.rdma_completion);
+  verbs_->complete(from.node, dst);
+  co_await machine_.simulator().delay(p.rnr_backoff);
+  ++stats_.rnr_retries;
+  co_await core.use(p.send_overhead);
+  co_await verbs_->post(from.node, dst);
+  co_await machine_.nic_tx(from.node).use(tx_cost(0));
+  co_await wire(from.node, dst, 0);
 }
 
 // ---------------------------------------------------------------- PUT ---
 
 Task<void> Transport::put(Initiator from, NodeId dst, PutRequest req,
                           PutAckHook on_ack) {
-  if (req.data.size() <= machine_.params().eager_limit) {
-    ++stats_.am_puts;
-    return put_eager(from, dst, std::move(req), std::move(on_ack));
+  const auto& p = machine_.params();
+  const std::size_t len = req.data.size();
+  // Verbs payloads up to inline_limit ride inside the WQE itself.
+  const bool inline_send = verbs_ && len <= p.inline_limit;
+  if (!inline_send && len > p.eager_limit) {
+    ++stats_.rendezvous_puts;
+    return put_rendezvous(from, dst, std::move(req), std::move(on_ack));
   }
-  ++stats_.rendezvous_puts;
-  return put_rendezvous(from, dst, std::move(req), std::move(on_ack));
+  ++stats_.am_puts;
+  if (inline_send) ++stats_.inline_sends;
+  return put_eager(from, dst, std::move(req), std::move(on_ack), inline_send);
 }
 
 Task<void> Transport::put_eager(Initiator from, NodeId dst, PutRequest req,
-                                PutAckHook on_ack) {
+                                PutAckHook on_ack, bool inline_send) {
   const auto& p = machine_.params();
   const std::size_t len = req.data.size();
 
   // Initiator: copy into a send bounce buffer (frees the user buffer —
-  // local completion), then inject on the NIC.
-  co_await machine_.core(from.node, from.core)
-      .use(p.send_overhead + p.copy_time(len));
-  co_await machine_.nic_tx(from.node)
-      .use(p.nic_tx_overhead + machine_.serialize_with_header(len));
+  // local completion; an inline send needs no copy), then inject.
+  Duration send_cost = p.send_overhead;
+  if (!inline_send) send_cost += p.copy_time(len);
+  co_await machine_.core(from.node, from.core).use(send_cost);
+  if (verbs_) co_await verbs_->post(from.node, dst);
+  co_await machine_.nic_tx(from.node).use(tx_cost(len));
   stats_.wire_bytes += p.header_bytes + len;
 
   // The remote half proceeds in the background; PUT is locally complete.
@@ -325,13 +372,13 @@ Task<void> Transport::put_remote(Initiator from, NodeId dst, PutRequest req,
   const std::size_t len = req.data.size();
 
   try {
-    co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
-                     p.nic_tx_overhead + machine_.serialize_with_header(len),
-                     p.header_bytes + len);
+    co_await protocol_.deliver(from.node, dst, &machine_.nic_tx(from.node),
+                               tx_cost(len), p.header_bytes + len);
   } catch (const TransportTimeout&) {
     // Detached half: the initiator already completed locally. Complete the
     // operation (without a piggybacked base) so fences cannot deadlock;
     // the loss is visible in stats().timeouts.
+    if (verbs_) verbs_->flush(from.node, dst);
     if (on_ack) on_ack(PutAck{});
     co_return;
   }
@@ -341,24 +388,20 @@ Task<void> Transport::put_remote(Initiator from, NodeId dst, PutRequest req,
   co_await sim.delay(
       scaled(dst, p.recv_overhead + p.svd_lookup + p.copy_time(len)));
   auto serve = target_.serve_put(dst, std::move(req));
-  co_await sim.delay(
-      scaled(dst, p.reg_time(serve.reg_new_bytes, serve.reg_new_handles) +
-                      p.dereg_base * serve.reg_evicted_handles));
+  co_await sim.delay(scaled(dst, pin_cost(serve)));
   hcpu.release();
 
   // Acknowledgement (may carry the piggybacked base address).
-  co_await machine_.nic_tx(dst).use(p.nic_tx_overhead +
-                                    machine_.serialize_with_header(0));
-  stats_.wire_bytes += p.header_bytes;
+  co_await machine_.nic_tx(dst).use(tx_cost(0));
   try {
-    co_await deliver(dst, from.node, &machine_.nic_tx(dst),
-                     p.nic_tx_overhead + machine_.serialize_with_header(0),
-                     p.header_bytes);
+    co_await wire(dst, from.node, 0);
   } catch (const TransportTimeout&) {
+    if (verbs_) verbs_->flush(from.node, dst);
     if (on_ack) on_ack(PutAck{});
     co_return;
   }
-  co_await machine_.core(from.node, from.core).use(p.recv_overhead);
+  co_await machine_.core(from.node, from.core).use(completion_cost());
+  if (verbs_) verbs_->complete(from.node, dst);
   if (on_ack) on_ack(PutAck{serve.base});
 }
 
@@ -366,54 +409,59 @@ Task<void> Transport::put_rendezvous(Initiator from, NodeId dst,
                                      PutRequest req, PutAckHook on_ack) {
   auto& sim = machine_.simulator();
   const auto& p = machine_.params();
+  auto& core = machine_.core(from.node, from.core);
   const std::size_t len = req.data.size();
 
-  // RTS (no data).
-  co_await machine_.core(from.node, from.core).use(p.send_overhead);
-  co_await machine_.nic_tx(from.node)
-      .use(p.nic_tx_overhead + machine_.serialize_with_header(0));
-  stats_.wire_bytes += p.header_bytes;
-  co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
-                   p.nic_tx_overhead + machine_.serialize_with_header(0),
-                   p.header_bytes);
+  // RTS (no data); its WQE retires when the CTS arrives.
+  co_await core.use(p.send_overhead);
+  if (verbs_) co_await verbs_->post(from.node, dst);
+  AmTarget::PutServe serve;
+  try {
+    co_await machine_.nic_tx(from.node).use(tx_cost(0));
+    co_await wire(from.node, dst, 0);
 
-  // Target: translate + register the destination region.
-  auto& hcpu = handler_cpu(dst, req.target_core);
-  co_await hcpu.acquire();
-  co_await sim.delay(scaled(dst, p.recv_overhead + p.svd_lookup));
-  auto serve = target_.serve_put_rendezvous(dst, req, len);
-  co_await sim.delay(
-      scaled(dst, p.reg_time(serve.reg_new_bytes, serve.reg_new_handles) +
-                      p.dereg_base * serve.reg_evicted_handles));
-  const auto rl = reg_caches_[dst].ensure(serve.dst_addr, len);
-  Duration reg_cost = 0;
-  if (rl.bounced) {
-    ++stats_.bounce_fallbacks;
-    reg_cost += p.copy_time(len);  // stage through bounce buffers
-  } else if (!rl.hit) {
-    reg_cost += p.reg_time(rl.registered, 1);
+    // Target: translate + register the destination region, with the
+    // same receiver-not-ready admission as the rendezvous GET.
+    for (std::uint32_t attempt = 0;; ++attempt) {
+      auto& hcpu = handler_cpu(dst, req.target_core);
+      co_await hcpu.acquire();
+      co_await sim.delay(scaled(dst, p.recv_overhead + p.svd_lookup));
+      const bool pin_fail = rnr_pin_fails(dst);
+      if (pin_fail && attempt < p.rnr_retry_limit) {
+        hcpu.release();
+        co_await rnr_retry(from, dst);
+        continue;
+      }
+      serve = target_.serve_put_rendezvous(dst, req, len);
+      Duration cost = pin_cost(serve);
+      if (!verbs_) {
+        co_await sim.delay(scaled(dst, cost));
+        cost = 0;
+      }
+      cost += pin_fail ? bounce_cost(len)
+                       : reg_cache_cost(dst, serve.dst_addr, len);
+      co_await sim.delay(scaled(dst, cost));
+      hcpu.release();
+      break;
+    }
+
+    // CTS back to the initiator.
+    co_await machine_.nic_tx(dst).use(tx_cost(0));
+    co_await wire(dst, from.node, 0);
+    co_await core.use(completion_cost());
+  } catch (...) {
+    if (verbs_) verbs_->flush(from.node, dst);
+    throw;
   }
-  reg_cost += p.dereg_base * rl.evicted_regions;
-  co_await sim.delay(scaled(dst, reg_cost));
-  hcpu.release();
-
-  // CTS back to the initiator.
-  co_await machine_.nic_tx(dst).use(p.nic_tx_overhead +
-                                    machine_.serialize_with_header(0));
-  stats_.wire_bytes += p.header_bytes;
-  co_await deliver(dst, from.node, &machine_.nic_tx(dst),
-                   p.nic_tx_overhead + machine_.serialize_with_header(0),
-                   p.header_bytes);
-  co_await machine_.core(from.node, from.core).use(p.recv_overhead);
+  if (verbs_) verbs_->complete(from.node, dst);
 
   // Stream the payload zero-copy; local completion when the NIC has
   // drained the user buffer.
   if (req.local_buf != kNullAddr) {
-    co_await charge_reg_cache(machine_.core(from.node, from.core), from.node,
-                              req.local_buf, len);
+    co_await charge_reg_cache(core, from.node, req.local_buf, len);
   }
-  co_await machine_.nic_tx(from.node)
-      .use(p.nic_tx_overhead + machine_.serialize_with_header(len));
+  if (verbs_) co_await verbs_->post(from.node, dst);
+  co_await machine_.nic_tx(from.node).use(tx_cost(len));
   stats_.wire_bytes += p.header_bytes + len;
 
   PutAck ack{serve.base};
@@ -424,20 +472,21 @@ Task<void> Transport::put_rendezvous(Initiator from, NodeId dst,
 Task<void> Transport::put_payload_remote(Initiator from, NodeId dst,
                                          PutRequest req, PutAck ack,
                                          PutAckHook on_ack) {
-  const auto& p = machine_.params();
+  const std::size_t len = req.data.size();
   try {
-    co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
-                     p.nic_tx_overhead +
-                         machine_.serialize_with_header(req.data.size()),
-                     p.header_bytes + req.data.size());
+    co_await protocol_.deliver(from.node, dst, &machine_.nic_tx(from.node),
+                               tx_cost(len),
+                               machine_.params().header_bytes + len);
   } catch (const TransportTimeout&) {
+    if (verbs_) verbs_->flush(from.node, dst);
     if (on_ack) on_ack(PutAck{});
     co_return;
   }
   // Data lands via DMA into the registered destination — no target CPU.
   target_.deliver_put_payload(dst, req.svd_handle, req.offset,
                               std::move(req.data));
-  co_await machine_.core(from.node, from.core).use(p.recv_overhead);
+  co_await machine_.core(from.node, from.core).use(completion_cost());
+  if (verbs_) verbs_->complete(from.node, dst);
   if (on_ack) on_ack(ack);
 }
 
@@ -445,96 +494,101 @@ Task<void> Transport::put_payload_remote(Initiator from, NodeId dst,
 
 Task<RdmaGetResult> Transport::rdma_get(Initiator from, NodeId dst, Addr raddr,
                                         std::uint32_t len) {
-  ++stats_.rdma_gets;
   auto& sim = machine_.simulator();
   const auto& p = machine_.params();
+  auto& core = machine_.core(from.node, from.core);
 
-  // Post the read descriptor; the initiator NIC sends it to the target NIC.
-  co_await machine_.core(from.node, from.core).use(p.rdma_get_setup);
-  co_await machine_.nic_dma(from.node)
-      .use(p.dma_engine_overhead + machine_.serialize_with_header(0));
-  stats_.wire_bytes += p.header_bytes;
-  co_await deliver(from.node, dst, &machine_.nic_dma(from.node),
-                   p.dma_engine_overhead + machine_.serialize_with_header(0),
-                   p.header_bytes);
+  if (verbs_) co_await verbs_->post(from.node, dst);
+  ++stats_.rdma_gets;
+  RdmaGetResult result;
+  try {
+    // Post the read descriptor; the initiator NIC sends it to the target.
+    co_await core.use(p.rdma_get_setup);
+    co_await machine_.nic_dma(from.node).use(dma_cost(0));
+    co_await dma_wire(from.node, dst, 0);
 
-  // Target NIC DMA engine reads pinned memory and streams it back — the
-  // remote CPU is not involved at all.
-  auto& dma = machine_.nic_dma(dst);
-  co_await dma.acquire();
-  const RdmaWindow win = target_.rdma_memory(dst, raddr, len);
-  if (!win.ok()) {
-    // NAK: window not pinned. Small control frame back.
-    co_await sim.delay(p.dma_engine_overhead);
-    dma.release();
-    ++stats_.rdma_naks;
-    co_await deliver(dst, from.node, &machine_.nic_dma(dst),
-                     p.dma_engine_overhead, 0);
-    co_await machine_.core(from.node, from.core).use(p.rdma_completion);
-    co_return RdmaGetResult{win.nak, {}};
+    // Target NIC DMA engine reads pinned memory and streams it back — the
+    // remote CPU is not involved at all.
+    auto& dma = machine_.nic_dma(dst);
+    co_await dma.acquire();
+    const RdmaWindow win = target_.rdma_memory(dst, raddr, len);
+    if (!win.ok()) {
+      // NAK: window not pinned. Small control frame back.
+      co_await sim.delay(p.dma_engine_overhead);
+      dma.release();
+      ++stats_.rdma_naks;
+      co_await protocol_.deliver(dst, from.node, &dma, p.dma_engine_overhead,
+                                 0);
+      result.nak = win.nak;
+    } else {
+      result.data.assign(win.memory, win.memory + len);
+      co_await sim.delay(dma_cost(len));
+      dma.release();
+      co_await dma_wire(dst, from.node, len);
+    }
+    // Completion detection at the initiator.
+    co_await core.use(p.rdma_completion);
+  } catch (...) {
+    if (verbs_) verbs_->flush(from.node, dst);
+    throw;
   }
-  Bytes out(win.memory, win.memory + len);
-  co_await sim.delay(p.dma_engine_overhead +
-                     machine_.serialize_with_header(len));
-  dma.release();
-  stats_.wire_bytes += p.header_bytes + len;
-  co_await deliver(dst, from.node, &machine_.nic_dma(dst),
-                   p.dma_engine_overhead + machine_.serialize_with_header(len),
-                   p.header_bytes + len);
-
-  // Completion detection at the initiator.
-  co_await machine_.core(from.node, from.core).use(p.rdma_completion);
-  co_return RdmaGetResult{RdmaNak::kNone, std::move(out)};
+  if (verbs_) verbs_->complete(from.node, dst);
+  co_return result;
 }
 
 Task<RdmaPutResult> Transport::rdma_put(Initiator from, NodeId dst, Addr raddr,
-                                        Bytes data,
-                                        DoneHook on_done) {
-  ++stats_.rdma_puts;
+                                        Bytes data, DoneHook on_done) {
   auto& sim = machine_.simulator();
   const auto& p = machine_.params();
+  auto& core = machine_.core(from.node, from.core);
   const std::size_t len = data.size();
 
-  const RdmaWindow win = target_.rdma_memory(dst, raddr, len);
-  if (!win.ok()) {
-    // NAK discovered after a descriptor roundtrip.
-    ++stats_.rdma_naks;
-    co_await machine_.core(from.node, from.core).use(p.rdma_put_setup);
-    if (!machine_.faults().enabled() && !machine_.fabric().enabled()) {
-      co_await sim.delay(machine_.latency(from.node, dst) +
-                         machine_.latency(dst, from.node));
+  if (verbs_) co_await verbs_->post(from.node, dst);
+  ++stats_.rdma_puts;
+  RdmaPutResult result;
+  try {
+    const RdmaWindow win = target_.rdma_memory(dst, raddr, len);
+    if (!win.ok()) {
+      // NAK discovered after a descriptor roundtrip.
+      ++stats_.rdma_naks;
+      co_await core.use(p.rdma_put_setup);
+      if (!machine_.faults().enabled() && !machine_.fabric().enabled()) {
+        co_await sim.delay(machine_.latency(from.node, dst) +
+                           machine_.latency(dst, from.node));
+      } else {
+        co_await protocol_.deliver(from.node, dst,
+                                   &machine_.nic_dma(from.node),
+                                   p.dma_engine_overhead, 0);
+        co_await protocol_.deliver(dst, from.node, &machine_.nic_dma(dst),
+                                   p.dma_engine_overhead, 0);
+      }
+      co_await core.use(p.rdma_completion);
+      result.nak = win.nak;
     } else {
-      co_await deliver(from.node, dst, &machine_.nic_dma(from.node),
-                       p.dma_engine_overhead, 0);
-      co_await deliver(dst, from.node, &machine_.nic_dma(dst),
-                       p.dma_engine_overhead, 0);
+      co_await core.use(p.rdma_put_setup);
+      // Local completion when the DMA engine has drained the source
+      // buffer; the WRITE WQE retires then, the landing needs no slot.
+      co_await machine_.nic_dma(from.node).use(dma_cost(len));
+      stats_.wire_bytes += p.header_bytes + len;
+      sim.spawn(rdma_put_landing(from, dst, win.memory, std::move(data),
+                                 std::move(on_done)));
     }
-    co_await machine_.core(from.node, from.core).use(p.rdma_completion);
-    co_return RdmaPutResult{win.nak};
+  } catch (...) {
+    if (verbs_) verbs_->flush(from.node, dst);
+    throw;
   }
-
-  co_await machine_.core(from.node, from.core).use(p.rdma_put_setup);
-  // Local completion when the DMA engine has drained the source buffer.
-  co_await machine_.nic_dma(from.node)
-      .use(p.dma_engine_overhead + machine_.serialize_with_header(len));
-  stats_.wire_bytes += p.header_bytes + len;
-
-  machine_.simulator().spawn(rdma_put_landing(from, dst, win.memory,
-                                              std::move(data),
-                                              std::move(on_done)));
-  co_return RdmaPutResult{};
+  if (verbs_) verbs_->complete(from.node, dst);
+  co_return result;
 }
 
 Task<void> Transport::rdma_put_landing(Initiator from, NodeId dst,
-                                       std::byte* dst_mem,
-                                       Bytes data,
+                                       std::byte* dst_mem, Bytes data,
                                        DoneHook on_done) {
   const auto& p = machine_.params();
   try {
-    co_await deliver(from.node, dst, &machine_.nic_dma(from.node),
-                     p.dma_engine_overhead +
-                         machine_.serialize_with_header(data.size()),
-                     p.header_bytes + data.size());
+    co_await protocol_.deliver(from.node, dst, &machine_.nic_dma(from.node),
+                               dma_cost(data.size()),
+                               p.header_bytes + data.size());
   } catch (const TransportTimeout&) {
     // Data never landed; complete locally so fences cannot deadlock. The
     // loss is visible in stats().timeouts.
@@ -552,13 +606,8 @@ Task<void> Transport::control(Initiator from, NodeId dst, ControlMsg msg) {
   const auto& p = machine_.params();
 
   co_await machine_.core(from.node, from.core).use(p.send_overhead);
-  co_await machine_.nic_tx(from.node)
-      .use(p.nic_tx_overhead + machine_.serialize_with_header(kControlBytes));
-  stats_.wire_bytes += p.header_bytes + kControlBytes;
-  co_await deliver(
-      from.node, dst, &machine_.nic_tx(from.node),
-      p.nic_tx_overhead + machine_.serialize_with_header(kControlBytes),
-      p.header_bytes + kControlBytes);
+  co_await machine_.nic_tx(from.node).use(tx_cost(kControlBytes));
+  co_await wire(from.node, dst, kControlBytes);
 
   auto& hcpu = handler_cpu(dst, 0);
   co_await hcpu.use(scaled(dst, p.recv_overhead));
@@ -568,6 +617,14 @@ Task<void> Transport::control(Initiator from, NodeId dst, ControlMsg msg) {
 // ------------------------------------------------------------ atomics ---
 
 Task<AmoResult> Transport::amo(Initiator from, NodeId dst, AmoRequest req) {
+  if (verbs_ && req.raddr != kNullAddr) {
+    return amo_nic(from, dst, std::move(req));
+  }
+  return amo_handler(from, dst, std::move(req));
+}
+
+Task<AmoResult> Transport::amo_handler(Initiator from, NodeId dst,
+                                       AmoRequest req) {
   // AM-handler lowering (GM/LAPI and the IB cold-cache fallback): a
   // small request AM serviced on the handler CPU at the home node. The
   // handler CPU's mutual exclusion is what makes the read-modify-write
@@ -580,13 +637,8 @@ Task<AmoResult> Transport::amo(Initiator from, NodeId dst, AmoRequest req) {
   const auto& p = machine_.params();
 
   co_await machine_.core(from.node, from.core).use(p.send_overhead);
-  co_await machine_.nic_tx(from.node)
-      .use(p.nic_tx_overhead + machine_.serialize_with_header(kAmoBytes));
-  stats_.wire_bytes += p.header_bytes + kAmoBytes;
-  co_await deliver(
-      from.node, dst, &machine_.nic_tx(from.node),
-      p.nic_tx_overhead + machine_.serialize_with_header(kAmoBytes),
-      p.header_bytes + kAmoBytes);
+  co_await machine_.nic_tx(from.node).use(tx_cost(kAmoBytes));
+  co_await wire(from.node, dst, kAmoBytes);
 
   // Home node: translate the handle and apply the verb on the handler
   // CPU — serialized against every other AM, so concurrent atomics from
@@ -598,15 +650,66 @@ Task<AmoResult> Transport::amo(Initiator from, NodeId dst, AmoRequest req) {
   hcpu.release();
 
   // Reply carrying the old value.
-  co_await machine_.nic_tx(dst).use(
-      p.nic_tx_overhead + machine_.serialize_with_header(sizeof(old)));
-  stats_.wire_bytes += p.header_bytes + sizeof(old);
-  co_await deliver(
-      dst, from.node, &machine_.nic_tx(dst),
-      p.nic_tx_overhead + machine_.serialize_with_header(sizeof(old)),
-      p.header_bytes + sizeof(old));
+  co_await machine_.nic_tx(dst).use(tx_cost(sizeof(old)));
+  co_await wire(dst, from.node, sizeof(old));
   co_await machine_.core(from.node, from.core).use(p.recv_overhead);
   co_return AmoResult{RdmaNak::kNone, old, /*offloaded=*/false};
+}
+
+Task<AmoResult> Transport::amo_nic(Initiator from, NodeId dst,
+                                   AmoRequest req) {
+  // NIC-offloaded verbs atomic (fetch-and-add / compare-and-swap WQE):
+  // the target's DMA engine performs the fetch-modify-write against
+  // pinned memory — no target CPU, neither application core nor progress
+  // engine. The DMA engine's mutual exclusion is the HCA's atomicity
+  // guarantee; the request leg rides the ProtocolEngine's sequence
+  // window, so a retransmitted request can never double-apply.
+  ++stats_.amo_msgs;
+  auto& sim = machine_.simulator();
+  const auto& p = machine_.params();
+  auto& core = machine_.core(from.node, from.core);
+
+  co_await verbs_->post(from.node, dst);
+  AmoResult result;
+  try {
+    co_await core.use(p.rdma_get_setup);
+    co_await machine_.nic_dma(from.node).use(dma_cost(kAmoBytes));
+    co_await dma_wire(from.node, dst, kAmoBytes);
+
+    auto& dma = machine_.nic_dma(dst);
+    co_await dma.acquire();
+    const RdmaWindow win =
+        target_.rdma_memory(dst, req.raddr, sizeof(std::uint64_t));
+    if (!win.ok()) {
+      // NAK: window not pinned. Small control frame back; the caller
+      // invalidates its cache entry and retries through the AM lowering.
+      co_await sim.delay(p.dma_engine_overhead);
+      dma.release();
+      ++stats_.rdma_naks;
+      co_await protocol_.deliver(dst, from.node, &dma, p.dma_engine_overhead,
+                                 0);
+      result.nak = win.nak;
+    } else {
+      std::uint64_t old = 0;
+      std::memcpy(&old, win.memory, sizeof(old));
+      const std::uint64_t next =
+          req.verb == AmoVerb::kFaa ? old + req.operand
+                                    : (old == req.compare ? req.operand : old);
+      std::memcpy(win.memory, &next, sizeof(next));
+      ++stats_.nic_atomics;
+      co_await sim.delay(dma_cost(sizeof(old)));
+      dma.release();
+      co_await dma_wire(dst, from.node, sizeof(old));
+      result.value = old;
+      result.offloaded = true;
+    }
+    co_await core.use(p.rdma_completion);
+  } catch (...) {
+    verbs_->flush(from.node, dst);
+    throw;
+  }
+  verbs_->complete(from.node, dst);
+  co_return result;
 }
 
 // -------------------------------------------------- aggregated batches ---
@@ -638,13 +741,8 @@ Task<RdmaBatchResult> Transport::rdma_batch(Initiator from, NodeId dst,
   Duration pack = p.send_overhead;
   if (put_bytes > 0) pack += p.copy_time(put_bytes);
   co_await machine_.core(from.node, from.core).use(pack);
-  co_await machine_.nic_tx(from.node)
-      .use(p.nic_tx_overhead + machine_.serialize_with_header(fwd_bytes));
-  stats_.wire_bytes += p.header_bytes + fwd_bytes;
-  co_await deliver(
-      from.node, dst, &machine_.nic_tx(from.node),
-      p.nic_tx_overhead + machine_.serialize_with_header(fwd_bytes),
-      p.header_bytes + fwd_bytes);
+  co_await machine_.nic_tx(from.node).use(tx_cost(fwd_bytes));
+  co_await wire(from.node, dst, fwd_bytes);
 
   // Target: one dispatch, then each member is unpacked and applied on the
   // handler CPU in turn (svd_lookup + copy per leg). Because GM's handler
@@ -665,13 +763,8 @@ Task<RdmaBatchResult> Transport::rdma_batch(Initiator from, NodeId dst,
 
   // Single reply carrying every GET member's data (ack-only when the
   // batch held no GETs).
-  co_await machine_.nic_tx(dst).use(
-      p.nic_tx_overhead + machine_.serialize_with_header(get_bytes));
-  stats_.wire_bytes += p.header_bytes + get_bytes;
-  co_await deliver(
-      dst, from.node, &machine_.nic_tx(dst),
-      p.nic_tx_overhead + machine_.serialize_with_header(get_bytes),
-      p.header_bytes + get_bytes);
+  co_await machine_.nic_tx(dst).use(tx_cost(get_bytes));
+  co_await wire(dst, from.node, get_bytes);
 
   // Initiator: one receive dispatch, then scatter the GET payloads out of
   // the bounce buffer.
@@ -683,15 +776,7 @@ Task<RdmaBatchResult> Transport::rdma_batch(Initiator from, NodeId dst,
 }
 
 std::unique_ptr<Transport> make_transport(Machine& machine, AmTarget& target) {
-  switch (machine.params().kind) {
-    case TransportKind::kGm:
-      return std::make_unique<GmTransport>(machine, target);
-    case TransportKind::kLapi:
-      return std::make_unique<LapiTransport>(machine, target);
-    case TransportKind::kIb:
-      return std::make_unique<IbTransport>(machine, target);
-  }
-  return std::make_unique<GmTransport>(machine, target);
+  return std::make_unique<Transport>(machine, target);
 }
 
 }  // namespace xlupc::net

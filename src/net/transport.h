@@ -12,7 +12,7 @@
 //    involves no CPU on the remote end.
 //
 // Target-side behaviour (SVD translation, pinning, data movement) is
-// delegated to an AmTarget implemented by the runtime; the transports own
+// delegated to an AmTarget implemented by the runtime; the transport owns
 // all *timing* and hardware-resource contention.
 #pragma once
 
@@ -261,6 +261,16 @@ struct Initiator {
   std::uint32_t core = 0;
 };
 
+namespace ib {
+class Verbs;
+}
+
+/// The one implementation of the wire protocol for every backend. GM and
+/// LAPI differ only in where target-side progress runs (paper Sec. 3),
+/// read from PlatformParams::comm_comp_overlap; the InfiniBand backend
+/// adds an ib::Verbs connection layer (queue pairs, completion queues,
+/// RNR-NAK admission, inline sends, NIC atomics) that the same eager and
+/// rendezvous skeleton calls at one post/retire choke point.
 class Transport {
  public:
   /// Called on the initiator when a PUT's acknowledgement arrives (remote
@@ -272,45 +282,43 @@ class Transport {
   using DoneHook = sim::SmallFn<void()>;
 
   Transport(Machine& machine, AmTarget& target);
-  virtual ~Transport() = default;
+  ~Transport();
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  /// Two-sided GET via the default SVD path (Fig. 3a / Fig. 5).
-  /// Completes when the data is available at the initiator. Virtual so a
-  /// backend can substitute its own wire protocol (the IB transport's
-  /// verbs eager/rendezvous, src/net/ib).
-  virtual sim::Task<GetReply> get(Initiator from, NodeId dst, GetRequest req);
+  /// Two-sided GET via the default SVD path (Fig. 3a / Fig. 5): eager up
+  /// to eager_limit, rendezvous beyond. Completes when the data is
+  /// available at the initiator.
+  sim::Task<GetReply> get(Initiator from, NodeId dst, GetRequest req);
 
   /// Two-sided PUT. Completes at *local* completion (source buffer
   /// reusable); `on_ack` fires later at remote completion.
-  virtual sim::Task<void> put(Initiator from, NodeId dst, PutRequest req,
-                              PutAckHook on_ack);
+  sim::Task<void> put(Initiator from, NodeId dst, PutRequest req,
+                      PutAckHook on_ack);
 
   /// One-sided RDMA read of [raddr, raddr+len) at `dst` (Fig. 3b).
   /// Returns RdmaNak::kNotPinned when the target NAKs the window (memory
   /// no longer pinned); the caller invalidates its cache entry and falls
   /// back to the AM path.
-  virtual sim::Task<RdmaGetResult> rdma_get(Initiator from, NodeId dst,
-                                            Addr raddr, std::uint32_t len);
+  sim::Task<RdmaGetResult> rdma_get(Initiator from, NodeId dst, Addr raddr,
+                                    std::uint32_t len);
 
   /// One-sided RDMA write; completes at local completion, `on_done` fires
   /// when the data has landed in target memory. Returns a NAK when the
   /// target window is not pinned; `on_done` does not fire then.
-  virtual sim::Task<RdmaPutResult> rdma_put(Initiator from, NodeId dst,
-                                            Addr raddr,
-                                            Bytes data,
-                                            DoneHook on_done);
+  sim::Task<RdmaPutResult> rdma_put(Initiator from, NodeId dst, Addr raddr,
+                                    Bytes data, DoneHook on_done);
 
   /// Remote atomic (FAA/CAS) on the 64-bit word at svd_handle+offset.
-  /// The base implementation is the AM-handler lowering shared by
-  /// GM/LAPI: a small request AM serviced on the handler CPU (whose
-  /// serialization provides atomicity), riding the ProtocolEngine's
-  /// seqno/ACK window so duplicated or retransmitted requests apply
-  /// exactly once. The IB transport overrides it with NIC-offloaded
-  /// verbs atomics when `req.raddr` carries a cached remote address.
-  /// Completes when the old value is available at the initiator.
-  virtual sim::Task<AmoResult> amo(Initiator from, NodeId dst, AmoRequest req);
+  /// The AM-handler lowering is a small request AM serviced on the
+  /// handler CPU (whose serialization provides atomicity), riding the
+  /// ProtocolEngine's seqno/ACK window so duplicated or retransmitted
+  /// requests apply exactly once. On IB, a request carrying a cached
+  /// remote address (`req.raddr`) lowers instead to a NIC-offloaded verbs
+  /// atomic — zero target-CPU cycles, counted in
+  /// `transport.ib.nic_atomics`. Completes when the old value is
+  /// available at the initiator.
+  sim::Task<AmoResult> amo(Initiator from, NodeId dst, AmoRequest req);
 
   /// Aggregated small-op batch (docs/COALESCING.md): one framed wire
   /// message carrying every member, unpacked per leg on the handler CPU
@@ -334,28 +342,19 @@ class Transport {
   const TransportStats& stats() const noexcept;
   /// The shared per-link protocol core (seqno/ACK/retransmit/NAK).
   const ProtocolEngine& protocol() const noexcept { return protocol_; }
-
-  /// Declare `node` dead to the reliability layer (in-flight legs against
-  /// it fail fast with PeerDeadError) and let the backend tear down its
-  /// connection state. The runtime's failure detector calls this once per
-  /// declared death.
-  void peer_dead(NodeId node) {
-    protocol_.declare_peer_dead(node);
-    on_peer_dead(node);
-  }
+  /// The verbs connection layer; null unless the platform is IB.
+  const ib::Verbs* verbs() const noexcept { return verbs_.get(); }
 
   /// Recovery notification from the runtime's failure detector: `node`
-  /// has been declared dead (membership epoch advanced). Backends react
-  /// to connection state — the IB transport moves every queue pair that
-  /// touches `node` into the error state; the GM/LAPI AM paths keep no
-  /// per-peer connection state, so the base implementation is a no-op
-  /// (their in-flight legs fail fast through the protocol engine's
-  /// dead-peer check instead).
-  virtual void on_peer_dead(NodeId node);
+  /// has been declared dead (membership epoch advanced). In-flight legs
+  /// against it fail fast with PeerDeadError instead of burning the
+  /// retransmit budget, and on IB every queue pair touching it is
+  /// error-fenced. GM/LAPI keep no per-peer connection state.
+  void peer_dead(NodeId node);
   /// Recovery notification: the (a, b) fabric link entered a scheduled
-  /// down window. The IB transport error-fences the pair's queue pairs
-  /// when the topology offers no failover path; base is a no-op.
-  virtual void on_link_down(NodeId a, NodeId b);
+  /// down window. On IB the pair's queue pairs are error-fenced when the
+  /// topology offers no failover path; a no-op elsewhere.
+  void on_link_down(NodeId a, NodeId b);
   /// Zero the message/byte counters, the protocol engine's recovery
   /// counters and every node's registration-cache counters (resident
   /// registrations are kept — only the statistics window restarts).
@@ -368,41 +367,84 @@ class Transport {
   }
   Machine& machine() noexcept { return machine_; }
 
- protected:
+ private:
   /// The CPU that runs AM handlers at `dst` for data owned by
-  /// `target_core`: GM uses the application core itself (no overlap of
-  /// communication and computation); LAPI uses the dedicated
-  /// communication processor.
-  virtual sim::Resource& handler_cpu(NodeId dst, std::uint32_t target_core) = 0;
+  /// `target_core`. Without comm/comp overlap (GM) it is the application
+  /// core itself; with it (LAPI's communication processor, the IB
+  /// progress engine) it is the node's comm CPU.
+  sim::Resource& handler_cpu(NodeId dst, std::uint32_t target_core) {
+    return machine_.params().comm_comp_overlap
+               ? machine_.comm_cpu(dst)
+               : machine_.core(dst, target_core);
+  }
+  /// Initiator CPU cost of detecting a two-sided completion: a receive
+  /// dispatch on GM/LAPI, a CQ poll on IB.
+  sim::Duration completion_cost() const {
+    const auto& p = machine_.params();
+    return verbs_ ? p.rdma_completion : p.recv_overhead;
+  }
+  /// True when the IB rendezvous target's registration attempt fails
+  /// transiently. Draws the fault plan's per-node pin stream, so only
+  /// the verbs backend may call into it.
+  bool rnr_pin_fails(NodeId dst) {
+    return verbs_ && machine_.faults().enabled() &&
+           machine_.faults().pin_fails(dst);
+  }
 
-  sim::Task<void> charge_reg_cache(sim::Resource& cpu, NodeId node, Addr addr,
-                                   std::size_t len);
-
-  // --- reliability layer: delegated to the shared ProtocolEngine ---
-  /// One wire traversal src -> dst; see ProtocolEngine::deliver.
-  auto deliver(NodeId src, NodeId dst, sim::Resource* retx_nic,
-               sim::Duration retx_cost, std::uint64_t retx_bytes) {
-    return protocol_.deliver(src, dst, retx_nic, retx_cost, retx_bytes);
+  // --- costs and wire legs shared by every path ---
+  sim::Duration tx_cost(std::uint64_t payload) const {
+    return machine_.params().nic_tx_overhead +
+           machine_.serialize_with_header(payload);
+  }
+  sim::Duration dma_cost(std::uint64_t payload) const {
+    return machine_.params().dma_engine_overhead +
+           machine_.serialize_with_header(payload);
+  }
+  /// One wire traversal src -> dst of a `payload`-byte message injected
+  /// on src's NIC send path (retransmissions re-inject there); counts the
+  /// wire bytes. See ProtocolEngine::deliver.
+  auto wire(NodeId src, NodeId dst, std::uint64_t payload) {
+    const std::uint64_t bytes = machine_.params().header_bytes + payload;
+    stats_.wire_bytes += bytes;
+    return protocol_.deliver(src, dst, &machine_.nic_tx(src),
+                             tx_cost(payload), bytes);
+  }
+  /// Same, injected on src's NIC DMA engine (one-sided legs).
+  auto dma_wire(NodeId src, NodeId dst, std::uint64_t payload) {
+    const std::uint64_t bytes = machine_.params().header_bytes + payload;
+    stats_.wire_bytes += bytes;
+    return protocol_.deliver(src, dst, &machine_.nic_dma(src),
+                             dma_cost(payload), bytes);
   }
   /// Handler service time under slowdowns; see ProtocolEngine::scaled.
   sim::Duration scaled(NodeId node, sim::Duration d) const {
     return protocol_.scaled(node, d);
   }
-  /// Mutable protocol core for backend recovery paths (seqno resync
-  /// after a connection is re-established).
-  ProtocolEngine& protocol_mut() noexcept { return protocol_; }
+  /// Target-side pinning work a serve_* handler reported.
+  template <class Serve>
+  sim::Duration pin_cost(const Serve& s) const {
+    const auto& p = machine_.params();
+    return p.reg_time(s.reg_new_bytes, s.reg_new_handles) +
+           p.dereg_base * s.reg_evicted_handles;
+  }
+  /// Staging `len` bytes through bounce buffers instead of registering.
+  sim::Duration bounce_cost(std::size_t len) {
+    ++stats_.bounce_fallbacks;
+    return machine_.params().copy_time(len);
+  }
+  /// Register [addr, addr+len) through `node`'s registration cache and
+  /// return the bill: a registration on a miss, bounce staging when the
+  /// region exceeds the whole DMAable budget, plus any lazy
+  /// deregistrations the insertion forced.
+  sim::Duration reg_cache_cost(NodeId node, Addr addr, std::size_t len);
+  sim::Task<void> charge_reg_cache(sim::Resource& cpu, NodeId node, Addr addr,
+                                   std::size_t len);
 
-  Machine& machine_;
-  AmTarget& target_;
-  std::vector<mem::RegistrationCache> reg_caches_;
-  TransportStats stats_;
-
- private:
   sim::Task<GetReply> get_eager(Initiator from, NodeId dst, GetRequest req);
   sim::Task<GetReply> get_rendezvous(Initiator from, NodeId dst,
                                      GetRequest req);
   sim::Task<void> put_eager(Initiator from, NodeId dst, PutRequest req,
-                            PutAckHook on_ack);
+                            PutAckHook on_ack, bool inline_send);
   sim::Task<void> put_rendezvous(Initiator from, NodeId dst, PutRequest req,
                                  PutAckHook on_ack);
   // Remote half of an eager PUT, detached after local completion.
@@ -413,43 +455,28 @@ class Transport {
   sim::Task<void> put_payload_remote(Initiator from, NodeId dst,
                                      PutRequest req, PutAck ack,
                                      PutAckHook on_ack);
+  /// One receiver-not-ready round of IB rendezvous admission.
+  sim::Task<void> rnr_retry(Initiator from, NodeId dst);
   // Detached landing half of an accepted rdma_put.
   sim::Task<void> rdma_put_landing(Initiator from, NodeId dst,
-                                   std::byte* dst_mem,
-                                   Bytes data,
+                                   std::byte* dst_mem, Bytes data,
                                    DoneHook on_done);
+  sim::Task<AmoResult> amo_handler(Initiator from, NodeId dst,
+                                   AmoRequest req);
+  sim::Task<AmoResult> amo_nic(Initiator from, NodeId dst, AmoRequest req);
 
+  Machine& machine_;
+  AmTarget& target_;
+  std::vector<mem::RegistrationCache> reg_caches_;
+  TransportStats stats_;
   ProtocolEngine protocol_;
+  std::unique_ptr<ib::Verbs> verbs_;  ///< IB only
   /// Read-time merge target of stats_ + protocol_.stats(); refreshed on
   /// every stats() call so callers keep the cheap const-reference API.
   mutable TransportStats merged_stats_;
 };
 
-/// Myrinet/GM transport (paper Sec. 3.3): handlers run on the target
-/// application core — communication does not overlap computation.
-class GmTransport final : public Transport {
- public:
-  using Transport::Transport;
-
- protected:
-  sim::Resource& handler_cpu(NodeId dst, std::uint32_t target_core) override {
-    return machine_.core(dst, target_core);
-  }
-};
-
-/// LAPI transport (paper Sec. 3.2): header handlers run on a dedicated
-/// communication processor — communication overlaps computation.
-class LapiTransport final : public Transport {
- public:
-  using Transport::Transport;
-
- protected:
-  sim::Resource& handler_cpu(NodeId dst, std::uint32_t /*target_core*/) override {
-    return machine_.comm_cpu(dst);
-  }
-};
-
-/// Factory selecting the transport from the platform parameters.
+/// Builds the transport for `machine`'s platform.
 std::unique_ptr<Transport> make_transport(Machine& machine, AmTarget& target);
 
 }  // namespace xlupc::net

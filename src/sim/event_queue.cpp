@@ -45,7 +45,7 @@ void EventQueue::refill() noexcept {
   }
 }
 
-void EventQueue::schedule(Time t, Callback fn) {
+void EventQueue::schedule(Time t, Callback&& fn) {
   if (t < floor_) {
     throw std::logic_error("EventQueue::schedule: time in the past");
   }

@@ -46,8 +46,9 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
 
   /// Schedule `fn` to run at absolute time `t`. Throws std::logic_error
-  /// if `t` is before the time of the last popped event.
-  void schedule(Time t, Callback fn);
+  /// if `t` is before the time of the last popped event. Taken by rvalue
+  /// reference so the callback is moved once, straight into its slot.
+  void schedule(Time t, Callback&& fn);
 
   /// True when no events remain.
   bool empty() const noexcept { return size_ == 0; }

@@ -33,18 +33,20 @@ class Simulator {
   Time now() const noexcept { return queue_.now(); }
 
   /// Schedule a callback at absolute simulated time `t` (>= now; throws
-  /// std::logic_error otherwise).
-  void schedule_at(Time t, EventQueue::Callback fn) {
+  /// std::logic_error otherwise). The scheduling calls take the callback
+  /// by rvalue reference, so it is moved once — into the queue's slot —
+  /// however many layers it passes through.
+  void schedule_at(Time t, EventQueue::Callback&& fn) {
     queue_.schedule(t, std::move(fn));
   }
 
   /// Schedule a callback `d` nanoseconds from now.
-  void schedule_after(Duration d, EventQueue::Callback fn) {
+  void schedule_after(Duration d, EventQueue::Callback&& fn) {
     schedule_at(now() + d, std::move(fn));
   }
 
   /// Schedule a callback at the current time (runs after the current event).
-  void post(EventQueue::Callback fn) { schedule_at(now(), std::move(fn)); }
+  void post(EventQueue::Callback&& fn) { schedule_at(now(), std::move(fn)); }
 
   /// Resume a suspended coroutine at the current time — the dominant
   /// event payload, stored as a bare handle (no capture, no allocation).

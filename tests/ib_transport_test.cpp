@@ -16,7 +16,7 @@
 
 #include "benchsupport/report.h"
 #include "core/runtime.h"
-#include "net/ib/ib_transport.h"
+#include "net/ib/verbs.h"
 #include "net/machine.h"
 #include "net/machine_registry.h"
 #include "net/topology.h"
@@ -138,10 +138,12 @@ class CountingTarget : public AmTarget {
     if (addr < base(target) || addr + len > base(target) + bytes_) {
       throw RdmaProtocolError("bad address");
     }
+    if (!pinned) return RdmaWindow{nullptr, RdmaNak::kNotPinned};
     return RdmaWindow{store_[target].data() + (addr - base(target)),
                       RdmaNak::kNone};
   }
 
+  bool pinned = true;  ///< false: every one-sided window is NAKed
   int gets_served = 0;
   int puts_served = 0;
   int rendezvous_puts_served = 0;
@@ -158,13 +160,13 @@ struct Rig {
       : target(1 << 20, std::max<NodeId>(nodes, 4)),
         machine(sim, std::move(p), {nodes, 2, std::move(fp), {}}) {
     transport = make_transport(machine, target);
-    ib = dynamic_cast<IbTransport*>(transport.get());
+    ib = transport->verbs();
   }
   sim::Simulator sim;
   CountingTarget target;
   Machine machine;
   std::unique_ptr<Transport> transport;
-  IbTransport* ib = nullptr;  ///< non-null when the platform is IB
+  const ib::Verbs* ib = nullptr;  ///< non-null when the platform is IB
 };
 
 GetReply run_get(Rig& rig, std::uint32_t len, Addr local_buf = kNullAddr) {
@@ -338,6 +340,78 @@ TEST(IbProtocol, EveryWqePostedRetiresThroughTheCq) {
   EXPECT_EQ(q->outstanding(), 0u);  // nothing leaked
   EXPECT_GT(q->hwm(), 0u);
   EXPECT_EQ(rig.ib->queue_pair(1, 0), nullptr);  // replies need no QP slot
+}
+
+// Every awaited leg that times out must still retire its WQE (a flushed
+// completion). With every leg dropped and a one-retransmit budget each op
+// below ends in TransportTimeout; had any of them leaked its send-queue
+// slot, the 65th op would stall forever on the full (sq_depth = 64) queue
+// and the run would end with a live process and no status for that op.
+TEST(IbProtocol, TimedOutAwaitedLegsRetireTheirWqe) {
+  using OpFn = sim::Task<void> (*)(Rig&);
+  const std::pair<const char*, OpFn> legs[] = {
+      {"eager get",
+       [](Rig& r) -> sim::Task<void> {
+         GetRequest req;
+         req.len = 64;
+         (void)co_await r.transport->get({0, 0}, 1, req);
+       }},
+      {"rendezvous get",
+       [](Rig& r) -> sim::Task<void> {
+         GetRequest req;
+         req.len = 16384;
+         (void)co_await r.transport->get({0, 0}, 1, req);
+       }},
+      {"rendezvous put",
+       [](Rig& r) -> sim::Task<void> {
+         PutRequest req;
+         req.data.assign(16384, std::byte{1});
+         co_await r.transport->put({0, 0}, 1, std::move(req), {});
+       }},
+      {"rdma_get",
+       [](Rig& r) -> sim::Task<void> {
+         (void)co_await r.transport->rdma_get({0, 0}, 1, r.target.base(1), 64);
+       }},
+      {"rdma_put nak",
+       [](Rig& r) -> sim::Task<void> {
+         r.target.pinned = false;
+         (void)co_await r.transport->rdma_put({0, 0}, 1, r.target.base(1),
+                                              Bytes(64, std::byte{2}), {});
+       }},
+      {"nic amo",
+       [](Rig& r) -> sim::Task<void> {
+         AmoRequest req;
+         req.raddr = r.target.base(1);
+         (void)co_await r.transport->amo({0, 0}, 1, req);
+       }},
+  };
+  for (const auto& [name, op] : legs) {
+    SCOPED_TRACE(name);
+    FaultParams fp;
+    fp.seed = 1;
+    fp.drop_prob = 1.0;
+    fp.max_retransmits = 1;
+    Rig rig(infiniband_verbs(), fp);
+    const std::uint32_t ops = rig.machine.params().sq_depth + 2;
+    std::uint32_t timeouts = 0;
+    rig.sim.spawn([](Rig& r, OpFn fn, std::uint32_t n,
+                     std::uint32_t& t) -> sim::Task<> {
+      for (std::uint32_t i = 0; i < n; ++i) {
+        try {
+          co_await fn(r);
+        } catch (const TransportTimeout&) {
+          ++t;
+        }
+      }
+    }(rig, op, ops, timeouts));
+    rig.sim.run();
+    EXPECT_EQ(timeouts, ops);
+    EXPECT_EQ(rig.sim.live_processes(), 0u);
+    const ib::QueuePair* q = rig.ib->queue_pair(0, 1);
+    ASSERT_NE(q, nullptr);
+    EXPECT_EQ(q->outstanding(), 0u);
+    EXPECT_EQ(rig.ib->completion_queue(0).cqes(), rig.transport->stats().qp_posts);
+  }
 }
 
 TEST(IbProtocol, FullSendQueueBackpressuresPosters) {

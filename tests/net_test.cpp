@@ -7,6 +7,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/machine.h"
@@ -435,17 +436,40 @@ TEST(Transport, ControlReachesHandler) {
   EXPECT_EQ(f.transport->stats().control_msgs, 1u);
 }
 
-TEST(Transport, FactorySelectsByPlatform) {
-  sim::Simulator sim;
-  FakeTarget t(64);
-  Machine gm_machine(sim, mare_nostrum_gm(), mc(2, 1));
-  Machine lapi_machine(sim, power5_lapi(), mc(2, 1));
-  EXPECT_NE(dynamic_cast<GmTransport*>(
-                make_transport(gm_machine, t).get()),
-            nullptr);
-  EXPECT_NE(dynamic_cast<LapiTransport*>(
-                make_transport(lapi_machine, t).get()),
-            nullptr);
+// The handler CPU is chosen by PlatformParams::comm_comp_overlap alone
+// (paper Sec. 3): without overlap (GM) an eager GET's handler runs on the
+// application core that owns the data; with it (LAPI's communication
+// processor, the IB progress engine) on the node's comm CPU.
+TEST(Transport, CommCompOverlapSelectsTheHandlerCpu) {
+  PlatformParams gm_overlap = mare_nostrum_gm();
+  gm_overlap.comm_comp_overlap = true;
+  const std::pair<PlatformParams, bool> cases[] = {
+      {mare_nostrum_gm(), false},
+      {power5_lapi(), true},
+      {infiniband_verbs(), true},
+      {gm_overlap, true}};
+  for (const auto& [params, on_comm_cpu] : cases) {
+    sim::Simulator sim;
+    FakeTarget t(64);
+    Machine m(sim, params, mc(2, 2));
+    auto transport = make_transport(m, t);
+    sim.spawn([](Transport& tr) -> sim::Task<> {
+      GetRequest req;
+      req.len = 8;
+      req.target_core = 1;
+      (void)co_await tr.get({0, 0}, 1, req);
+    }(*transport));
+    sim.run();
+    EXPECT_EQ(t.gets_served, 1);
+    EXPECT_EQ(m.core(1, 0).busy_time(), 0u) << params.name;
+    if (on_comm_cpu) {
+      EXPECT_GT(m.comm_cpu(1).busy_time(), 0u) << params.name;
+      EXPECT_EQ(m.core(1, 1).busy_time(), 0u) << params.name;
+    } else {
+      EXPECT_GT(m.core(1, 1).busy_time(), 0u) << params.name;
+      EXPECT_EQ(m.comm_cpu(1).busy_time(), 0u) << params.name;
+    }
+  }
 }
 
 TEST(Transport, RendezvousRegistrationIsCachedAcrossGets) {

@@ -24,7 +24,7 @@
 #include <utility>
 #include <vector>
 
-#include "net/ib/ib_transport.h"
+#include "net/ib/verbs.h"
 #include "net/machine.h"
 #include "net/machine_registry.h"
 #include "net/transport.h"
@@ -61,8 +61,8 @@ class PathTarget : public AmTarget {
     return out;
   }
   PutServe serve_put(NodeId target, PutRequest&& req) override {
-    std::memcpy(store_[target].data() + req.offset, req.data.data(),
-                req.data.size());
+    std::copy(req.data.begin(), req.data.end(),
+              store_[target].begin() + req.offset);
     PutServe out;
     out.dst_addr = base(target) + req.offset;
     if (req.want_base) out.base = BaseInfo{base(target), 0x78};
@@ -79,7 +79,7 @@ class PathTarget : public AmTarget {
   }
   void deliver_put_payload(NodeId target, std::uint64_t, std::uint64_t offset,
                            Bytes&& data) override {
-    std::memcpy(store_[target].data() + offset, data.data(), data.size());
+    std::copy(data.begin(), data.end(), store_[target].begin() + offset);
   }
   void serve_control(NodeId, NodeId, const ControlMsg&) override {
     ++controls;
@@ -167,12 +167,10 @@ struct Rig {
 
 // --- verbs introspection (null on GM/LAPI) ---
 const ib::QueuePair* queue_pair(Transport& t, NodeId src, NodeId dst) {
-  const auto* ib = dynamic_cast<IbTransport*>(&t);
-  return ib ? ib->queue_pair(src, dst) : nullptr;
+  return t.verbs() ? t.verbs()->queue_pair(src, dst) : nullptr;
 }
 const ib::CompletionQueue* completion_queue(Transport& t, NodeId node) {
-  const auto* ib = dynamic_cast<IbTransport*>(&t);
-  return ib ? &ib->completion_queue(node) : nullptr;
+  return t.verbs() ? &t.verbs()->completion_queue(node) : nullptr;
 }
 
 std::uint64_t fnv(const Bytes& b) {
