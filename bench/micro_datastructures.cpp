@@ -124,10 +124,9 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   sim::Rng rng(13);
   sim::Time now = 0;
   int sink = 0;
+  const sim::Thunk bump{[](void* p) { ++*static_cast<int*>(p); }, &sink};
   for (auto _ : state) {
-    for (int i = 0; i < 16; ++i) {
-      q.schedule(now + rng.below(1000), [&sink] { ++sink; });
-    }
+    for (int i = 0; i < 16; ++i) q.schedule(now + rng.below(1000), bump);
     while (!q.empty()) now = q.pop_and_run();
     benchmark::DoNotOptimize(sink);
   }
@@ -140,19 +139,19 @@ BENCHMARK(BM_EventQueueScheduleRun);
 struct HoldEvent {
   sim::EventQueue* q;
   sim::Rng* rng;
-  sim::Time t;
-  void operator()() const {
-    const sim::Time next = t + 256 + rng->below(3841);
-    q->schedule(next, HoldEvent{q, rng, next});
+  static void run(void* self) {
+    auto* h = static_cast<HoldEvent*>(self);
+    h->q->schedule(h->q->now() + 256 + h->rng->below(3841),
+                   sim::Thunk{&run, self});
   }
 };
 
 void BM_EventQueueHold(benchmark::State& state) {
   sim::EventQueue q;
   sim::Rng rng(19);
+  HoldEvent hold{&q, &rng};
   for (std::int64_t i = 0; i < state.range(0); ++i) {
-    const sim::Time t = rng.below(4096);
-    q.schedule(t, HoldEvent{&q, &rng, t});
+    q.schedule(rng.below(4096), sim::Thunk{&HoldEvent::run, &hold});
   }
   for (auto _ : state) benchmark::DoNotOptimize(q.pop_and_run());
   state.SetItemsProcessed(state.iterations());

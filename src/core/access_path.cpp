@@ -418,9 +418,9 @@ OpHandle CompletionEngine::issue(CommOp op, bool deferred) {
     free_.pop_back();
   } else {
     idx = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    slots_.push_back(std::make_unique<Slot>());
   }
-  Slot& s = slots_[idx];
+  Slot& s = *slots_[idx];
   s.gen = next_gen_++;
   s.active = true;
   s.deferred = deferred;
@@ -458,7 +458,7 @@ OpHandle CompletionEngine::issue(CommOp op, bool deferred) {
 }
 
 Task<void> CompletionEngine::run_async(std::uint32_t idx) {
-  Slot& s = slots_[idx];
+  Slot& s = *slots_[idx];
   try {
     co_await rt_.path_.execute(th_, s.op);
   } catch (...) {
@@ -471,7 +471,7 @@ Task<void> CompletionEngine::run_async(std::uint32_t idx) {
 
 void CompletionEngine::complete_staged(std::uint32_t idx,
                                        std::exception_ptr err) {
-  Slot& s = slots_[idx];
+  Slot& s = *slots_[idx];
   s.error = err;
   s.done = true;
   s.staged = false;
@@ -480,7 +480,7 @@ void CompletionEngine::complete_staged(std::uint32_t idx,
 }
 
 void CompletionEngine::retire(std::uint32_t idx) {
-  Slot& s = slots_[idx];
+  Slot& s = *slots_[idx];
   s.active = false;
   s.waiter.reset();
   s.op = CommOp{};
@@ -489,18 +489,18 @@ void CompletionEngine::retire(std::uint32_t idx) {
 
 Task<void> CompletionEngine::wait(OpHandle h) {
   if (!h.valid() || h.slot >= slots_.size()) co_return;
-  if (!slots_[h.slot].active || slots_[h.slot].gen != h.gen) {
+  if (!slots_[h.slot]->active || slots_[h.slot]->gen != h.gen) {
     co_return;  // spent handle: wait is idempotent
   }
-  if (slots_[h.slot].deferred) {
+  if (slots_[h.slot]->deferred) {
     // Blocking wrapper: execute inline through the exact co_await chain
     // the pre-engine runtime used — same events, same timing.
-    CommOp op = std::move(slots_[h.slot].op);
+    CommOp op = std::move(slots_[h.slot]->op);
     retire(h.slot);
     co_await rt_.path_.execute(th_, std::move(op));
     co_return;
   }
-  Slot& s = slots_[h.slot];
+  Slot& s = *slots_[h.slot];
   if (s.staged && !s.done) {
     // Flush-on-wait: the handle is parked in a staging buffer — ship the
     // whole buffer now and then wait for the batch like any async op.
@@ -521,8 +521,8 @@ Task<void> CompletionEngine::wait_all() {
   // before retiring the outstanding handles.
   coalescer_.flush_all(FlushReason::kFence);
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    if (!slots_[i].active) continue;
-    co_await wait(OpHandle{i, slots_[i].gen});
+    if (!slots_[i]->active) continue;
+    co_await wait(OpHandle{i, slots_[i]->gen});
   }
 }
 
@@ -541,8 +541,8 @@ Task<OpStatus> CompletionEngine::wait_all_status() {
   coalescer_.flush_all(FlushReason::kFence);
   OpStatus worst = OpStatus::kOk;
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    if (!slots_[i].active) continue;
-    const OpStatus st = co_await wait_status(OpHandle{i, slots_[i].gen});
+    if (!slots_[i]->active) continue;
+    const OpStatus st = co_await wait_status(OpHandle{i, slots_[i]->gen});
     worst = std::max(worst, st);
   }
   co_return worst;

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <span>
@@ -224,6 +223,8 @@ class CompletionEngine {
   sim::Task<void> drain_puts();
 
   std::uint64_t outstanding() const noexcept { return outstanding_async_; }
+  /// Op slots ever allocated (the high-water mark of live handles).
+  std::size_t slot_capacity() const noexcept { return slots_.size(); }
   const CommStats& stats() const noexcept { return stats_; }
   void reset_stats() {
     stats_ = CommStats{};
@@ -256,9 +257,11 @@ class CompletionEngine {
 
   Runtime& rt_;
   UpcThread& th_;
-  // deque: Slot references stay stable across the co_awaits in
-  // run_async/wait while new slots are issued.
-  std::deque<Slot> slots_;
+  // One heap Slot per index, allocated the first time the index is
+  // issued: Slot references stay stable across the co_awaits in
+  // run_async/wait while new slots are issued, and a thread that only
+  // ever blocks allocates no slot storage at all.
+  std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<std::uint32_t> free_;
   std::uint64_t next_gen_ = 1;
   std::uint64_t outstanding_async_ = 0;

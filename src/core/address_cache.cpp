@@ -115,6 +115,15 @@ void AddressCache::insert(const CacheKey& key, net::BaseInfo info) {
   ++stats_.insertions;
 }
 
+std::vector<CacheKey> AddressCache::keys() const {
+  std::vector<CacheKey> out;
+  out.reserve(size_);
+  for (std::uint32_t e = mru_; e != kNil; e = entries_[e].next) {
+    out.push_back(entries_[e].key);
+  }
+  return out;
+}
+
 template <class Match>
 void AddressCache::invalidate_if(Match match) {
   for (std::uint32_t e = mru_; e != kNil;) {

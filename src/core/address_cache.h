@@ -82,6 +82,8 @@ class AddressCache {
   void invalidate(const CacheKey& key);
 
   std::size_t size() const noexcept { return size_; }
+  /// Every cached key, most recently used first.
+  std::vector<CacheKey> keys() const;
   std::size_t max_entries() const noexcept { return max_entries_; }
   const AddressCacheStats& stats() const noexcept { return stats_; }
   void reset_stats() { stats_ = {}; }

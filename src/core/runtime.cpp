@@ -533,6 +533,17 @@ void Runtime::debug_write(const ArrayDesc& a, std::uint64_t elem,
 
 void Runtime::warm_address_cache(const ArrayDesc& a) {
   if (!cfg_.cache.enabled) return;
+  // Pin each target's piece and collect its keys once, in target then
+  // chunk order. Inserting that whole sequence (minus its own keys) into
+  // every initiator would leave only its last max_entries keys, in
+  // order, on top of whatever the cache held, so each initiator inserts
+  // just that tail: nodes x max_entries inserts instead of nodes^2 x
+  // chunks, with the same final contents and LRU order.
+  struct Warm {
+    CacheKey key;
+    net::BaseInfo info;
+  };
+  std::vector<Warm> keys;
   const std::uint64_t handle = a.handle.pack();
   for (NodeId target = 0; target < cfg_.nodes; ++target) {
     Node& tn = node(target);
@@ -548,15 +559,25 @@ void Runtime::warm_address_cache(const ArrayDesc& a) {
                   (cb->local_bytes + mem::kPinChunkBytes - 1) /
                   mem::kPinChunkBytes)
             : 1;
-    for (NodeId init = 0; init < cfg_.nodes; ++init) {
-      if (init == target) continue;
-      for (std::uint32_t c = 0; c < chunks; ++c) {
-        node(init).cache->insert(CacheKey{handle, target, c},
-                                 net::BaseInfo{cb->local_base, pr.key});
-      }
+    for (std::uint32_t c = 0; c < chunks; ++c) {
+      keys.push_back(Warm{CacheKey{handle, target, c},
+                          net::BaseInfo{cb->local_base, pr.key}});
     }
   }
-  for (NodeId n = 0; n < cfg_.nodes; ++n) node(n).cache->reset_stats();
+  for (NodeId init = 0; init < cfg_.nodes; ++init) {
+    AddressCache& cache = *node(init).cache;
+    const std::size_t keep =
+        cache.max_entries() == 0 ? keys.size() : cache.max_entries();
+    // Walk back to the first of the last `keep` keys not naming `init`.
+    std::size_t first = keys.size();
+    for (std::size_t n = 0; first > 0 && n < keep;) {
+      if (keys[--first].key.node != init) ++n;
+    }
+    for (std::size_t i = first; i < keys.size(); ++i) {
+      if (keys[i].key.node != init) cache.insert(keys[i].key, keys[i].info);
+    }
+    cache.reset_stats();
+  }
 }
 
 // ===================================================== UpcThread =======

@@ -164,6 +164,9 @@ class UpcThread {
   std::uint64_t outstanding() const noexcept {
     return completion_.outstanding();
   }
+  /// Nonblocking-op slots this thread has allocated: the most handles it
+  /// ever held live at once (0 for a thread that only blocks).
+  std::size_t op_slots() const noexcept { return completion_.slot_capacity(); }
   const CommStats& comm_stats() const noexcept { return completion_.stats(); }
 
   // --- small-message coalescing (docs/COALESCING.md) ---

@@ -1,8 +1,9 @@
 #include "mem/address_space.h"
 
 #include <algorithm>
-#include <cstring>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 namespace xlupc::mem {
 
@@ -18,10 +19,7 @@ AddressSpace::AddressSpace(NodeId node) : node_(node), next_(node_base(node)) {}
 
 Addr AddressSpace::allocate(std::size_t size) {
   const Addr addr = next_;
-  Block block;
-  block.size = size;
-  block.bytes.assign(size, std::byte{0});
-  blocks_.emplace(addr, std::move(block));
+  blocks_.push_back(Block{addr, size, std::vector<std::byte>(size)});
   // Reserve at least one alignment unit so even empty allocations get
   // distinct addresses.
   next_ += round_up(std::max<std::size_t>(size, 1), kAlign);
@@ -29,83 +27,82 @@ Addr AddressSpace::allocate(std::size_t size) {
   return addr;
 }
 
+std::vector<AddressSpace::Block>::const_iterator AddressSpace::block_at(
+    Addr addr) const {
+  auto it = std::upper_bound(
+      blocks_.begin(), blocks_.end(), addr,
+      [](Addr a, const Block& b) { return a < b.base; });
+  return it == blocks_.begin() ? blocks_.end() : std::prev(it);
+}
+
+std::vector<AddressSpace::Block>::const_iterator AddressSpace::block_based_at(
+    Addr addr) const {
+  const auto it = block_at(addr);
+  return it != blocks_.end() && it->base == addr ? it : blocks_.end();
+}
+
 void AddressSpace::free(Addr addr) {
-  auto it = blocks_.find(addr);
+  const auto it = block_based_at(addr);
   if (it == blocks_.end()) {
     throw std::invalid_argument("AddressSpace::free: not an allocation base");
   }
-  bytes_allocated_ -= it->second.size;
+  bytes_allocated_ -= it->size;
   blocks_.erase(it);
 }
 
-const AddressSpace::Block& AddressSpace::locate(Addr addr, std::size_t len,
-                                                Addr* base) const {
-  auto it = blocks_.upper_bound(addr);
-  if (it == blocks_.begin()) {
+const AddressSpace::Block& AddressSpace::locate(Addr addr,
+                                                std::size_t len) const {
+  const auto it = block_at(addr);
+  if (it == blocks_.end()) {
     throw std::out_of_range("AddressSpace: address below all allocations");
   }
-  --it;
-  const Addr start = it->first;
-  const Block& block = it->second;
-  if (addr < start || addr - start > block.size ||
-      len > block.size - (addr - start)) {
+  const Block& block = *it;
+  if (addr - block.base > block.size ||
+      len > block.size - (addr - block.base)) {
     throw std::out_of_range("AddressSpace: range not inside an allocation");
   }
-  if (base != nullptr) *base = start;
   return block;
 }
 
 bool AddressSpace::contains(Addr addr, std::size_t len) const {
-  try {
-    locate(addr, len, nullptr);
-    return true;
-  } catch (const std::out_of_range&) {
-    return false;
-  }
+  const auto it = block_at(addr);
+  return it != blocks_.end() && addr - it->base <= it->size &&
+         len <= it->size - (addr - it->base);
 }
 
 void AddressSpace::read(Addr addr, std::span<std::byte> out) const {
-  Addr base = 0;
-  const Block& block = locate(addr, out.size(), &base);
-  std::memcpy(out.data(), block.bytes.data() + (addr - base), out.size());
+  std::copy_n(data(addr, out.size()), out.size(), out.data());
 }
 
 void AddressSpace::write(Addr addr, std::span<const std::byte> in) {
-  Addr base = 0;
-  // locate() is const; the block's byte storage is logically mutable here.
-  const Block& block = locate(addr, in.size(), &base);
-  std::memcpy(const_cast<std::byte*>(block.bytes.data()) + (addr - base),
-              in.data(), in.size());
+  std::copy_n(in.data(), in.size(), data(addr, in.size()));
 }
 
 std::byte* AddressSpace::data(Addr addr, std::size_t len) {
-  Addr base = 0;
-  const Block& block = locate(addr, len, &base);
-  return const_cast<std::byte*>(block.bytes.data()) + (addr - base);
+  // locate() is const; the block's byte storage is logically mutable here.
+  return const_cast<std::byte*>(std::as_const(*this).data(addr, len));
 }
 
 const std::byte* AddressSpace::data(Addr addr, std::size_t len) const {
-  Addr base = 0;
-  const Block& block = locate(addr, len, &base);
-  return block.bytes.data() + (addr - base);
+  const Block& block = locate(addr, len);
+  return block.bytes.data() + (addr - block.base);
 }
 
 std::size_t AddressSpace::allocation_size(Addr addr) const {
-  auto it = blocks_.find(addr);
+  const auto it = block_based_at(addr);
   if (it == blocks_.end()) {
     throw std::invalid_argument("AddressSpace::allocation_size: unknown base");
   }
-  return it->second.size;
+  return it->size;
 }
 
 Addr AddressSpace::owning_block(Addr addr) const {
-  auto it = blocks_.upper_bound(addr);
-  if (it == blocks_.begin()) return kNullAddr;
-  --it;
-  if (addr - it->first >= std::max<std::size_t>(it->second.size, 1)) {
+  const auto it = block_at(addr);
+  if (it == blocks_.end() ||
+      addr - it->base >= std::max<std::size_t>(it->size, 1)) {
     return kNullAddr;
   }
-  return it->first;
+  return it->base;
 }
 
 }  // namespace xlupc::mem

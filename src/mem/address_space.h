@@ -7,11 +7,14 @@
 //
 // Allocations carry actual bytes: GET/PUT in the runtime move real data,
 // letting tests assert end-to-end integrity rather than just timing.
+//
+// Live blocks sit in one vector sorted by base address and are found by
+// binary search. Bases are bump-allocated upwards and never reused, so
+// every allocation appends in order; a free erases its block in place.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -74,16 +77,21 @@ class AddressSpace {
 
  private:
   struct Block {
+    Addr base;
     std::size_t size;
     std::vector<std::byte> bytes;
   };
 
+  // The last block with base <= addr, or end() when there is none.
+  std::vector<Block>::const_iterator block_at(Addr addr) const;
+  // The block whose base is exactly `addr`, or end().
+  std::vector<Block>::const_iterator block_based_at(Addr addr) const;
   // Returns the block containing [addr, addr+len) or throws.
-  const Block& locate(Addr addr, std::size_t len, Addr* base) const;
+  const Block& locate(Addr addr, std::size_t len) const;
 
   NodeId node_;
   Addr next_;
-  std::map<Addr, Block> blocks_;
+  std::vector<Block> blocks_;  // sorted by base
   std::size_t bytes_allocated_ = 0;
 };
 

@@ -1,27 +1,19 @@
-// Small-buffer-optimized callables for the event queue and transports.
+// Small-buffer-optimized callables for transports and host-scheduled events.
 //
-// The pre-refactor EventQueue stored `std::function<void()>`, which
-// heap-allocates for any capture larger than the libstdc++ 16-byte local
-// buffer and drags the full std::function machinery through every heap
-// sift. sim::SmallFn keeps N (default 48) bytes of inline storage —
-// enough for every callback the runtime schedules (a coroutine handle is
-// 8 bytes; the largest transport continuations fit with room to spare) —
-// and spills rarities to the pool, not malloc. It is move-only, so
-// callables holding move-only state (Task<> chains, unique_ptrs)
-// schedule without the copyability tax std::function imposes.
+// sim::SmallFn keeps N (default 48) bytes of inline storage and spills
+// larger callables to the pool, not malloc. It is move-only, so
+// callables holding move-only state (Task<> chains, unique_ptrs) need
+// no copyability tax as std::function would impose. Trivially copyable
+// inline callables and spilled pointers move as a plain copy of the
+// buffer; only a non-trivially-copyable inline callable pays an
+// indirect call to its move constructor.
 //
-// Moving is the hot operation (the event queue moves every callback in
-// and out of its slab). Trivially copyable inline callables, coroutine
-// resumers and spilled pointers all move as a plain copy of the buffer;
-// only a non-trivially-copyable inline callable pays an indirect call to
-// its move constructor.
-//
-// sim::Callback is the event queue's void() instance. Callback::resume(h)
-// is the common case made explicit: resuming a suspended coroutine costs
-// one indirect call and zero allocations.
+// The transport's completion hooks are SmallFns. sim::Callback, the
+// void() instance, is what EventQueue::schedule(Time, Callback&&)
+// boxes; the runtime's own events are {fn, arg} thunks
+// (sim/event_queue.h) and never construct one.
 #pragma once
 
-#include <coroutine>
 #include <cstddef>
 #include <cstring>
 #include <memory>
@@ -160,22 +152,7 @@ class SmallFn<R(Args...), N> {
   const Ops* ops_ = nullptr;
 };
 
-/// The event queue's callback: a void() SmallFn.
-class Callback : public SmallFn<void()> {
- public:
-  using SmallFn::SmallFn;
-
-  /// A callback that resumes `h` — the dominant event payload (delays,
-  /// resource grants, synchronizer releases), allocation- and capture-free.
-  static Callback resume(std::coroutine_handle<> h) noexcept {
-    return Callback(Resumer{h});
-  }
-
- private:
-  struct Resumer {
-    std::coroutine_handle<> h;
-    void operator()() const { h.resume(); }
-  };
-};
+/// A type-erased void() callable (see EventQueue::schedule).
+using Callback = SmallFn<void()>;
 
 }  // namespace xlupc::sim

@@ -1,10 +1,36 @@
 #include "sim/event_queue.h"
 
 #include <bit>
+#include <new>
 #include <stdexcept>
 #include <utility>
 
+#include "sim/pool.h"
+
 namespace xlupc::sim {
+
+EventQueue::~EventQueue() {
+  for (int b = 0; b < kBuckets; ++b) {
+    for (std::uint32_t s = head_[b]; s != kNil; s = keys_[s].next) {
+      if (evs_[s].fn == &run_boxed) {
+        free_box(static_cast<Callback*>(evs_[s].arg));
+      }
+    }
+  }
+}
+
+void EventQueue::free_box(Callback* box) noexcept {
+  box->~Callback();
+  pool_free(box, sizeof(Callback));
+}
+
+void EventQueue::run_boxed(void* box) {
+  struct Free {
+    Callback* box;
+    ~Free() { free_box(box); }
+  } free{static_cast<Callback*>(box)};
+  (*free.box)();
+}
 
 std::size_t EventQueue::free_slots() const noexcept {
   std::size_t n = 0;
@@ -45,22 +71,32 @@ void EventQueue::refill() noexcept {
   }
 }
 
-void EventQueue::schedule(Time t, Callback&& fn) {
+void EventQueue::schedule(Time t, Thunk ev) {
   if (t < floor_) {
     throw std::logic_error("EventQueue::schedule: time in the past");
   }
   std::uint32_t s = free_;
   if (s != kNil) {
     free_ = keys_[s].next;
-    fns_[s] = std::move(fn);
+    keys_[s] = Key{t, kNil};
+    evs_[s] = ev;
   } else {
     s = static_cast<std::uint32_t>(keys_.size());
-    keys_.emplace_back();
-    fns_.push_back(std::move(fn));
+    keys_.push_back(Key{t, kNil});
+    evs_.push_back(ev);
   }
-  keys_[s] = Key{t, kNil};
   push(s);
   ++size_;
+}
+
+void EventQueue::schedule(Time t, Callback&& fn) {
+  auto* box = ::new (pool_alloc(sizeof(Callback))) Callback(std::move(fn));
+  try {
+    schedule(t, Thunk{&run_boxed, box});
+  } catch (...) {
+    free_box(box);
+    throw;
+  }
 }
 
 Time EventQueue::pop_and_run() {
@@ -68,16 +104,16 @@ Time EventQueue::pop_and_run() {
   const std::uint32_t s = head_[0];
   head_[0] = keys_[s].next;
   if (head_[0] == kNil) tail_[0] = kNil;
-  // Move the callback out and free the slot *before* running, so the
-  // callback can schedule freely (often straight back into the slot it
-  // just vacated — cache-hot by construction).
-  Callback fn = std::move(fns_[s]);
+  // Copy the thunk out and free the slot *before* running, so the event
+  // can schedule freely (often straight back into the slot it just
+  // vacated — cache-hot by construction).
+  const Thunk ev = evs_[s];
   keys_[s].next = free_;
   free_ = s;
   --size_;
   ++executed_;
   const Time t = floor_;
-  fn();
+  ev.fn(ev.arg);
   return t;
 }
 

@@ -15,16 +15,26 @@
 // every simulation deterministic: events with one time always share a
 // bucket, every bucket is a FIFO list, and the scan keeps their order.
 //
+// An event is a 16-byte thunk {fn, arg}: running it calls fn(arg).
+// Nearly every event the runtime schedules is one of two kinds, and
+// both fit with no capture: a coroutine resumption (arg is the frame
+// address) and a Resource awaiter's hold end or handoff (arg is the
+// awaiter). A type-erased callable (schedule(Time, Callback&&), used by
+// tests and host code) is boxed in the pool and run by a thunk that
+// destroys the box; the queue destroys any box still pending when it
+// dies.
+//
 // Storage is one slab of slots, reused LIFO and never shrunk, so steady
 // state allocates nothing and memory is bounded by the peak number of
 // pending events. Each slot has a 16-byte key {time, next} in `keys_`
-// and a callback in `fns_`: a bucket is a list threaded through the
-// keys' `next` links, so buckets own no storage of their own, and the
-// scan walks the small key array without touching the callbacks.
+// and its 16-byte thunk in `evs_`: a bucket is a list threaded through
+// the keys' `next` links, so buckets own no storage of their own, and
+// the scan walks the dense key array without touching the thunks.
 #pragma once
 
 #include <array>
 #include <bit>
+#include <coroutine>
 #include <cstdint>
 #include <vector>
 
@@ -33,21 +43,41 @@
 
 namespace xlupc::sim {
 
-/// Min-queue of timed callbacks with stable FIFO ordering for ties.
+/// An event's action: running it calls `fn(arg)`.
+struct Thunk {
+  void (*fn)(void*) = nullptr;
+  void* arg = nullptr;
+};
+
+/// Thunk body that resumes the coroutine whose frame address is `frame`.
+inline void resume_frame(void* frame) {
+  std::coroutine_handle<>::from_address(frame).resume();
+}
+
+/// The thunk that resumes `h`: the dominant event payload.
+inline Thunk resume_thunk(std::coroutine_handle<> h) noexcept {
+  return Thunk{&resume_frame, h.address()};
+}
+
+/// Min-queue of timed thunks with stable FIFO ordering for ties.
 class EventQueue {
  public:
-  using Callback = sim::Callback;
-
   EventQueue() {
     head_.fill(kNil);
     tail_.fill(kNil);
   }
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
+  /// Destroys the boxed callbacks of events still pending.
+  ~EventQueue();
 
-  /// Schedule `fn` to run at absolute time `t`. Throws std::logic_error
-  /// if `t` is before the time of the last popped event. Taken by rvalue
-  /// reference so the callback is moved once, straight into its slot.
+  /// Schedule `ev` to run at absolute time `t`. Throws std::logic_error
+  /// if `t` is before the time of the last popped event.
+  void schedule(Time t, Thunk ev);
+
+  /// Schedule an arbitrary callable: it is boxed in the pool, and the
+  /// box is freed after it runs (or when the queue dies). Same time
+  /// rule as above.
   void schedule(Time t, Callback&& fn);
 
   /// True when no events remain.
@@ -88,13 +118,17 @@ class EventQueue {
     std::uint32_t next;  // bucket FIFO link, or free-list link
   };
 
+  /// Thunk body of a boxed callback: runs it, then destroys the box.
+  static void run_boxed(void* box);
+  static void free_box(Callback* box) noexcept;
+
   // Lowest non-empty bucket above 0. Precondition: mask_ != 0.
   int lowest_bucket() const noexcept { return std::countr_zero(mask_) + 1; }
   void push(std::uint32_t slot) noexcept;
   void refill() noexcept;
 
   std::vector<Key> keys_;
-  std::vector<Callback> fns_;
+  std::vector<Thunk> evs_;
   std::uint32_t free_ = kNil;  // LIFO free-slot list through Key::next
   std::array<std::uint32_t, kBuckets> head_;
   std::array<std::uint32_t, kBuckets> tail_;

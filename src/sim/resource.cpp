@@ -27,7 +27,7 @@ void Resource::release() {
     if (head_ == nullptr) tail_ = nullptr;
     --queue_length_;
     queue_wait_accum_ += sim_->now() - w->enqueued;
-    sim_->post(w->handoff(*w));
+    sim_->post(w->handoff);
   } else {
     account();
     --in_use_;

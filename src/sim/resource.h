@@ -39,14 +39,10 @@ class Resource {
   auto acquire() {
     struct Awaiter : Waiter {
       Resource* r;
-      std::coroutine_handle<> h;
       explicit Awaiter(Resource* res) : r(res) {}
       bool await_ready() const noexcept { return r->can_grant_now(); }
-      void await_suspend(std::coroutine_handle<> handle) {
-        h = handle;
-        r->enqueue(*this, [](Waiter& w) {
-          return Callback::resume(static_cast<Awaiter&>(w).h);
-        });
+      void await_suspend(std::coroutine_handle<> h) {
+        r->enqueue(*this, resume_thunk(h));
       }
       void await_resume() const { r->granted(); }
     };
@@ -86,30 +82,28 @@ class Resource {
           r->granted();
           hold();
         } else {
-          r->enqueue(*this, [](Waiter& w) {
-            auto* self = static_cast<UseAwaiter*>(&w);
-            return Callback([self] { self->run(); });
-          });
+          r->enqueue(*this, Thunk{&handoff, this});
         }
       }
       void await_resume() const noexcept {}
 
       // The handoff event: the unit reserved in release() is now ours.
-      void run() {
-        r->granted();
-        if (d == 0) {
-          r->release();
-          cont.resume();
+      static void handoff(void* awaiter) {
+        auto* self = static_cast<UseAwaiter*>(awaiter);
+        self->r->granted();
+        if (self->d == 0) {
+          self->r->release();
+          self->cont.resume();
         } else {
-          hold();
+          self->hold();
         }
       }
       // Unit held: schedule the release at the end of the hold.
-      void hold() {
-        r->sim_->schedule_after(d, Callback([this] {
-                                  r->release();
-                                  cont.resume();
-                                }));
+      void hold() { r->sim_->schedule_after(d, Thunk{&end_hold, this}); }
+      static void end_hold(void* awaiter) {
+        auto* self = static_cast<UseAwaiter*>(awaiter);
+        self->r->release();
+        self->cont.resume();
       }
     };
     return UseAwaiter{this, d};
@@ -143,14 +137,14 @@ class Resource {
 
  private:
   /// A queued acquire()/use(), embedded in its awaiter. release() posts
-  /// the event `handoff` builds, which grants the waiter its reserved unit.
+  /// the event `handoff`, which grants the waiter its reserved unit.
   struct Waiter {
     Waiter* next = nullptr;
     Time enqueued = 0;
-    Callback (*handoff)(Waiter&) = nullptr;
+    Thunk handoff;
   };
 
-  void enqueue(Waiter& w, Callback (*handoff)(Waiter&)) noexcept {
+  void enqueue(Waiter& w, Thunk handoff) noexcept {
     w.next = nullptr;
     w.enqueued = sim_->now();
     w.handoff = handoff;

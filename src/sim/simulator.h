@@ -32,31 +32,30 @@ class Simulator {
   /// the last one run).
   Time now() const noexcept { return queue_.now(); }
 
-  /// Schedule a callback at absolute simulated time `t` (>= now; throws
-  /// std::logic_error otherwise). The scheduling calls take the callback
-  /// by rvalue reference, so it is moved once — into the queue's slot —
-  /// however many layers it passes through.
-  void schedule_at(Time t, EventQueue::Callback&& fn) {
+  /// Schedule the event `ev` at absolute simulated time `t` (>= now;
+  /// throws std::logic_error otherwise).
+  void schedule_at(Time t, Thunk ev) { queue_.schedule(t, ev); }
+
+  /// Schedule the event `ev` `d` nanoseconds from now.
+  void schedule_after(Duration d, Thunk ev) { schedule_at(now() + d, ev); }
+
+  /// Schedule the event `ev` at the current time (runs after the
+  /// current event).
+  void post(Thunk ev) { schedule_at(now(), ev); }
+
+  /// Schedule an arbitrary callable at absolute time `t`, boxed in the
+  /// pool (tests and host code; the runtime schedules thunks only).
+  void schedule_at(Time t, Callback&& fn) {
     queue_.schedule(t, std::move(fn));
   }
 
-  /// Schedule a callback `d` nanoseconds from now.
-  void schedule_after(Duration d, EventQueue::Callback&& fn) {
-    schedule_at(now() + d, std::move(fn));
-  }
-
-  /// Schedule a callback at the current time (runs after the current event).
-  void post(EventQueue::Callback&& fn) { schedule_at(now(), std::move(fn)); }
-
   /// Resume a suspended coroutine at the current time — the dominant
-  /// event payload, stored as a bare handle (no capture, no allocation).
-  void post_resume(std::coroutine_handle<> h) {
-    post(Callback::resume(h));
-  }
+  /// event payload, stored as the bare frame address.
+  void post_resume(std::coroutine_handle<> h) { post(resume_thunk(h)); }
 
   /// Resume a suspended coroutine `d` nanoseconds from now.
   void schedule_resume_after(Duration d, std::coroutine_handle<> h) {
-    schedule_at(now() + d, Callback::resume(h));
+    schedule_after(d, resume_thunk(h));
   }
 
   /// Awaitable that suspends the caller for `d` simulated nanoseconds.

@@ -31,7 +31,7 @@ Handle Directory::add_local(std::uint32_t partition, ThreadId writer,
         "Directory::add_local: thread may only write its own partition");
   }
   check(partition);
-  Counters& counters = counters_[partition];
+  Counters& counters = *counters_.emplace(partition, Counters{}).first;
   if (counters.next_index > 0xffffffffu) {
     throw std::length_error(
         "Directory::add_local: partition index space exhausted");
@@ -44,7 +44,7 @@ Handle Directory::add_local(std::uint32_t partition, ThreadId writer,
 void Directory::add_remote(Handle h, std::uint64_t total_bytes,
                            ObjectKind kind) {
   check(h.partition);
-  Counters& counters = counters_[h.partition];
+  Counters& counters = *counters_.emplace(h.partition, Counters{}).first;
   // Keep index allocation ahead of remotely-announced handles so a later
   // local allocation cannot collide (an announced 0xffffffff exhausts the
   // partition rather than wrapping next_index to 0).
@@ -59,8 +59,7 @@ void Directory::add_remote(Handle h, std::uint64_t total_bytes,
 
 ControlBlock* Directory::find(Handle h) {
   check(h.partition);
-  auto it = entries_.find(h.pack());
-  return it == entries_.end() ? nullptr : &it->second;
+  return entries_.find(h.pack());
 }
 
 const ControlBlock* Directory::find(Handle h) const {
@@ -85,16 +84,16 @@ Addr Directory::translate(Handle h, std::uint64_t offset) const {
 
 bool Directory::remove(Handle h) {
   check(h.partition);
-  if (entries_.erase(h.pack()) == 0) return false;
-  --counters_.find(h.partition)->second.live;
+  if (!entries_.erase(h.pack())) return false;
+  --counters_.find(h.partition)->live;
   ++removes_;
   return true;
 }
 
 std::size_t Directory::partition_size(std::uint32_t partition) const {
   check(partition);
-  const auto it = counters_.find(partition);
-  return it == counters_.end() ? 0 : it->second.live;
+  const Counters* counters = counters_.find(partition);
+  return counters == nullptr ? 0 : counters->live;
 }
 
 }  // namespace xlupc::svd

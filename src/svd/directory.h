@@ -12,10 +12,20 @@
 // WITHOUT local addresses — translation from handle to memory address
 // happens only on the home node, which is exactly the scalability property
 // (and the performance compromise) the paper describes.
+//
+// Layout: the object table and the per-partition counters are each one
+// power-of-two open-addressing array of {key, value} slots, with a
+// multiply-shift hash and linear probing, like core::AddressCache.
+// Deletion shifts later probe-chain members back instead of leaving
+// tombstones. A lookup reads one slot array, with no node walk and no
+// modulo. Growth and deletion move slots, so a pointer returned by
+// find() is valid only until the next add or remove.
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/types.h"
 #include "svd/handle.h"
@@ -59,7 +69,8 @@ class Directory {
   /// The control block has no local address on this replica.
   void add_remote(Handle h, std::uint64_t total_bytes, ObjectKind kind);
 
-  /// Find the control block, or nullptr if unknown/freed.
+  /// Find the control block, or nullptr if unknown/freed. The pointer is
+  /// invalidated by the next add_local, add_remote or remove.
   ControlBlock* find(Handle h);
   const ControlBlock* find(Handle h) const;
 
@@ -90,13 +101,100 @@ class Directory {
     std::size_t live = 0;
   };
 
+  /// Open-addressing map from a 64-bit key to a `V`: a power-of-two
+  /// slot array kept at most half full, multiply-shift hashed, linearly
+  /// probed, with backward-shift deletion. Allocates on first insert.
+  template <class V>
+  class Table {
+   public:
+    std::size_t size() const noexcept { return size_; }
+
+    V* find(std::uint64_t key) noexcept {
+      if (size_ == 0) return nullptr;
+      Slot& s = slots_[probe(key)];
+      return s.used ? &s.value : nullptr;
+    }
+    const V* find(std::uint64_t key) const noexcept {
+      return const_cast<Table*>(this)->find(key);
+    }
+
+    /// The entry for `key`, inserting `value` if absent; `.second` is
+    /// true when it was inserted.
+    std::pair<V*, bool> emplace(std::uint64_t key, const V& value) {
+      if (2 * (size_ + 1) > slots_.size()) grow();
+      Slot& s = slots_[probe(key)];
+      if (s.used) return {&s.value, false};
+      s = Slot{key, value, true};
+      ++size_;
+      return {&s.value, true};
+    }
+
+    /// Remove `key`; returns true if it was present.
+    bool erase(std::uint64_t key) noexcept {
+      if (size_ == 0) return false;
+      std::size_t hole = probe(key);
+      if (!slots_[hole].used) return false;
+      // Walk the probe chain after the hole and move back every slot
+      // whose home lies at or before the hole.
+      const std::size_t mask = slots_.size() - 1;
+      for (std::size_t i = (hole + 1) & mask; slots_[i].used;
+           i = (i + 1) & mask) {
+        const std::size_t home = this->home(slots_[i].key);
+        if (((i - home) & mask) >= ((i - hole) & mask)) {
+          slots_[hole] = slots_[i];
+          hole = i;
+        }
+      }
+      slots_[hole].used = false;
+      --size_;
+      return true;
+    }
+
+   private:
+    struct Slot {
+      std::uint64_t key = 0;
+      V value{};
+      bool used = false;
+    };
+
+    // Multiply-shift after folding the high word into the low one. A
+    // packed handle varies in the low bits of both its partition and its
+    // index; without the fold, 32 ALL handles plus 32 thread partitions
+    // formed probe runs 43 slots long.
+    std::size_t home(std::uint64_t key) const noexcept {
+      key ^= key >> 29;
+      return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >> shift_);
+    }
+    /// The slot holding `key`, or the empty slot where it would go.
+    /// Precondition: the slot array is allocated.
+    std::size_t probe(std::uint64_t key) const noexcept {
+      const std::size_t mask = slots_.size() - 1;
+      std::size_t i = home(key);
+      while (slots_[i].used && slots_[i].key != key) i = (i + 1) & mask;
+      return i;
+    }
+    /// Double the slot array (at least 16 slots) and re-insert.
+    void grow() {
+      std::vector<Slot> old(slots_.empty() ? 16 : 2 * slots_.size());
+      old.swap(slots_);
+      shift_ = 64 - std::countr_zero(slots_.size());
+      for (const Slot& s : old) {
+        if (s.used) slots_[probe(s.key)] = s;
+      }
+    }
+
+    std::vector<Slot> slots_;
+    int shift_ = 64;
+    std::size_t size_ = 0;
+  };
+
   /// Throws std::out_of_range unless `partition` is a thread's or ALL.
   void check(std::uint32_t partition) const;
   void insert(Handle h, const ControlBlock& cb, Counters& counters);
 
   std::uint32_t threads_;
-  std::unordered_map<std::uint64_t, ControlBlock> entries_;  // Handle::pack()
-  std::unordered_map<std::uint32_t, Counters> counters_;     // by partition
+  Table<ControlBlock> entries_;  // by Handle::pack()
+  Table<Counters> counters_;     // by partition
   std::uint64_t adds_ = 0;
   std::uint64_t removes_ = 0;
 };

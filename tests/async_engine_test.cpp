@@ -273,6 +273,36 @@ TEST(CompletionEngine, WaitAllRetiresEveryOutstandingHandle) {
   });
 }
 
+TEST(CompletionEngine, BlockingOnlyThreadsAllocateNoSlots) {
+  core::Runtime rt(config(net::TransportKind::kGm, 2, 2));
+  rt.run([&](UpcThread& th) -> sim::Task<void> {
+    ArrayDesc a = co_await th.all_alloc(64, 8, 8);
+    co_await th.barrier();
+    const std::uint64_t mine = th.id() * 8;
+    co_await th.write<std::uint64_t>(a, (mine + 8) % 64, th.id());
+    (void)co_await th.read<std::uint64_t>(a, (mine + 16) % 64);
+    std::uint64_t buf[4] = {};
+    co_await th.memget(a, (mine + 24) % 64,
+                       std::as_writable_bytes(std::span(buf)));
+    (void)co_await th.fetch_add(a, (mine + 9) % 64, 1);
+    co_await th.fence();
+    co_await th.barrier();
+    EXPECT_EQ(th.op_slots(), 0u) << "thread " << th.id();
+    if (th.id() == 0) {
+      std::uint64_t v[3] = {};
+      for (auto& x : v) {
+        (void)th.get_nb(a, 8, std::as_writable_bytes(std::span(&x, 1)));
+      }
+      co_await th.wait_all();
+      EXPECT_EQ(th.op_slots(), 3u);
+      // Retired slots are reused: no new storage for later handles.
+      co_await th.wait(th.get_nb(a, 8, std::as_writable_bytes(std::span(v))));
+      EXPECT_EQ(th.op_slots(), 3u);
+    }
+    co_await th.barrier();
+  });
+}
+
 TEST(CompletionEngine, WaitOnInvalidOrSpentHandleIsANoOp) {
   core::Runtime rt(config(net::TransportKind::kGm, 2, 1));
   rt.run([&](UpcThread& th) -> sim::Task<void> {

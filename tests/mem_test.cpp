@@ -3,6 +3,7 @@
 // cache with lazy deregistration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -113,6 +114,88 @@ TEST(AddressSpace, OwningBlockFindsBase) {
   EXPECT_EQ(space.owning_block(p + 50), p);
   EXPECT_EQ(space.owning_block(p + 100), kNullAddr);
   EXPECT_EQ(space.allocation_size(p), 100u);
+}
+
+TEST(AddressSpace, LookupsAtBlockEdges) {
+  // Bases are 16-byte aligned, so a block that does not fill its last
+  // 16-byte unit leaves a gap before the next base; a zero-size block
+  // reserves one unit.
+  AddressSpace space(2);
+  const std::vector<std::size_t> sizes = {0, 1, 15, 16, 24, 100};
+  std::vector<Addr> bases;
+  for (std::size_t size : sizes) bases.push_back(space.allocate(size));
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const Addr base = bases[i];
+    const std::size_t size = sizes[i];
+    const Addr end = base + std::max<std::size_t>(size, 1);
+    const Addr next = i + 1 < bases.size() ? bases[i + 1] : kNullAddr;
+    EXPECT_EQ(space.owning_block(base), base) << i;
+    EXPECT_EQ(space.owning_block(end - 1), base) << i;
+    EXPECT_EQ(space.owning_block(end), end == next ? next : kNullAddr) << i;
+    EXPECT_TRUE(space.contains(base, size)) << i;
+    EXPECT_TRUE(space.contains(base + size, 0)) << i;
+    EXPECT_FALSE(space.contains(base, size + 1)) << i;
+    EXPECT_EQ(space.allocation_size(base), size) << i;
+  }
+  EXPECT_FALSE(space.contains(bases[0] - 1, 1));
+  EXPECT_EQ(space.owning_block(bases[0] - 1), kNullAddr);
+  EXPECT_THROW(space.allocation_size(bases[5] + 8), std::invalid_argument);
+}
+
+TEST(AddressSpace, ZeroSizeBlocks) {
+  AddressSpace space(0);
+  const Addr a = space.allocate(0);
+  const Addr b = space.allocate(8);
+  EXPECT_EQ(b, a + 16);
+  EXPECT_TRUE(space.contains(a, 0));
+  EXPECT_FALSE(space.contains(a, 1));
+  EXPECT_EQ(space.owning_block(a), a);
+  EXPECT_EQ(space.owning_block(a + 1), kNullAddr);
+  EXPECT_EQ(space.allocation_size(a), 0u);
+  std::vector<std::byte> none;
+  EXPECT_NO_THROW(space.read(a, none));
+  EXPECT_NO_THROW(space.write(a, none));
+  EXPECT_EQ(space.live_allocations(), 2u);
+  space.free(a);
+  EXPECT_EQ(space.owning_block(a), kNullAddr);
+  EXPECT_FALSE(space.contains(a, 0));
+  EXPECT_TRUE(space.contains(b, 8));
+  EXPECT_EQ(space.live_allocations(), 1u);
+}
+
+TEST(AddressSpace, LookupsAfterFreesInTheMiddle) {
+  AddressSpace space(5);
+  std::vector<Addr> bases;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    bases.push_back(space.allocate(32));
+    space.store<std::uint64_t>(bases.back() + 8, 1000 + i);
+  }
+  std::vector<bool> live(8, true);
+  for (std::size_t victim : {1u, 4u, 5u, 7u, 0u}) {
+    space.free(bases[victim]);
+    live[victim] = false;
+    for (std::size_t i = 0; i < bases.size(); ++i) {
+      const Addr p = bases[i];
+      if (live[i]) {
+        EXPECT_EQ(space.load<std::uint64_t>(p + 8), 1000 + i) << i;
+        EXPECT_EQ(space.owning_block(p + 31), p) << i;
+        EXPECT_TRUE(space.contains(p, 32)) << i;
+      } else {
+        EXPECT_EQ(space.owning_block(p + 8), kNullAddr) << i;
+        EXPECT_FALSE(space.contains(p, 1)) << i;
+        EXPECT_THROW(space.load<std::uint64_t>(p + 8), std::out_of_range);
+        EXPECT_THROW(space.allocation_size(p), std::invalid_argument);
+        EXPECT_THROW(space.free(p), std::invalid_argument);
+      }
+    }
+  }
+  EXPECT_EQ(space.live_allocations(), 3u);
+  EXPECT_EQ(space.bytes_allocated(), 3u * 32);
+  // New blocks still go above every block ever allocated.
+  const Addr fresh = space.allocate(16);
+  EXPECT_EQ(fresh, bases.back() + 32);
+  EXPECT_EQ(space.owning_block(fresh + 15), fresh);
+  EXPECT_EQ(space.load<std::uint64_t>(bases[6] + 8), 1006u);
 }
 
 // ---------------------------------------------------------------------

@@ -6,6 +6,8 @@
 
 #include <cstring>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/runtime.h"
@@ -484,6 +486,123 @@ TEST(Runtime, WarmCacheMakesFirstAccessRdma) {
   });
   EXPECT_EQ(rt.counters().am_gets, 0u);
   EXPECT_EQ(rt.counters().rdma_gets, 1u);
+}
+
+// The all-pairs loop warm_address_cache ran before it became linear:
+// every initiator inserts every target's keys, target by target, chunk
+// by chunk, into its bounded cache.
+void warm_all_pairs(Runtime& rt, const ArrayDesc& a) {
+  if (!rt.config().cache.enabled) return;
+  for (NodeId target = 0; target < rt.nodes(); ++target) {
+    const svd::ControlBlock* cb = rt.directory(target).find(a.handle);
+    if (cb == nullptr || cb->local_base == kNullAddr || cb->local_bytes == 0) {
+      continue;
+    }
+    const mem::PinResult pr =
+        rt.pinned(target).pin(cb->local_base, cb->local_bytes);
+    if (!pr.ok) continue;
+    const std::uint32_t chunks =
+        rt.config().pin_strategy == mem::PinStrategy::kChunked
+            ? static_cast<std::uint32_t>(
+                  (cb->local_bytes + mem::kPinChunkBytes - 1) /
+                  mem::kPinChunkBytes)
+            : 1;
+    for (NodeId init = 0; init < rt.nodes(); ++init) {
+      if (init == target) continue;
+      for (std::uint32_t c = 0; c < chunks; ++c) {
+        rt.cache(init).insert(CacheKey{a.handle.pack(), target, c},
+                              net::BaseInfo{cb->local_base, pr.key});
+      }
+    }
+  }
+  for (NodeId n = 0; n < rt.nodes(); ++n) rt.cache(n).reset_stats();
+}
+
+using CacheRow =
+    std::tuple<std::uint64_t, NodeId, std::uint32_t, Addr, RdmaKey>;
+
+// Every node's cache, MRU to LRU, with each entry's base and key. The
+// lookups run LRU first, which leaves the MRU order as it was.
+std::vector<std::vector<CacheRow>> cache_snapshot(Runtime& rt) {
+  std::vector<std::vector<CacheRow>> out;
+  for (NodeId n = 0; n < rt.nodes(); ++n) {
+    const std::vector<CacheKey> keys = rt.cache(n).keys();
+    std::vector<CacheRow> rows(keys.size());
+    for (std::size_t i = keys.size(); i-- > 0;) {
+      const auto info = rt.cache(n).lookup(keys[i]);
+      rows[i] = CacheRow{keys[i].handle, keys[i].node, keys[i].chunk,
+                         info->base, info->key};
+    }
+    EXPECT_EQ(rt.cache(n).keys(), keys);
+    rt.cache(n).reset_stats();
+    out.push_back(std::move(rows));
+  }
+  return out;
+}
+
+// Caches already populated by remote reads, then two arrays warmed in a
+// row; under chunked pinning the second array's node pieces span three
+// pin chunks each.
+std::vector<std::vector<CacheRow>> warm_scenario(std::uint32_t nodes,
+                                                 std::size_t max_entries,
+                                                 mem::PinStrategy pin,
+                                                 bool linear) {
+  RuntimeConfig cfg = gm_config(nodes, 2);
+  cfg.cache.max_entries = max_entries;
+  cfg.pin_strategy = pin;
+  Runtime rt(cfg);
+  std::vector<std::vector<CacheRow>> snap;
+  rt.run([&](UpcThread& th) -> Task<void> {
+    const std::uint32_t threads = rt.threads();
+    auto a = co_await th.all_alloc(64 * threads, 8, 64);
+    const std::uint64_t per_thread =
+        pin == mem::PinStrategy::kChunked ? (5 * mem::kPinChunkBytes) / 16 : 64;
+    auto b = co_await th.all_alloc(per_thread * threads, 8, per_thread);
+    co_await th.barrier();
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      const std::uint32_t owner = (th.id() + 2 * (i + 1)) % threads;
+      (void)co_await th.read<std::uint64_t>(a, 64 * owner + i);
+    }
+    co_await th.barrier();
+    if (th.id() == 0) {
+      for (const ArrayDesc* d : {&b, &a}) {
+        if (linear) {
+          rt.warm_address_cache(*d);
+        } else {
+          warm_all_pairs(rt, *d);
+        }
+      }
+      snap = cache_snapshot(rt);
+    }
+    co_await th.barrier();
+  });
+  return snap;
+}
+
+TEST(Runtime, LinearWarmUpMatchesAllPairsLoop) {
+  for (const std::uint32_t nodes : {1u, 3u, 7u}) {
+    for (const std::size_t max_entries : {0u, 1u, 4u, 100u}) {
+      for (const mem::PinStrategy pin :
+           {mem::PinStrategy::kGreedy, mem::PinStrategy::kChunked}) {
+        const auto want = warm_scenario(nodes, max_entries, pin, false);
+        const auto got = warm_scenario(nodes, max_entries, pin, true);
+        const std::string where =
+            "nodes " + std::to_string(nodes) + " max_entries " +
+            std::to_string(max_entries) +
+            (pin == mem::PinStrategy::kChunked ? " chunked" : " greedy");
+        ASSERT_EQ(want.size(), nodes) << where;
+        EXPECT_EQ(got, want) << where;
+        for (const auto& rows : want) {
+          if (nodes > 1) {
+            EXPECT_FALSE(rows.empty()) << where;
+          }
+          if (max_entries != 0) {
+            EXPECT_LE(rows.size(), max_entries) << where;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Runtime, DeterministicAcrossIdenticalRuns) {

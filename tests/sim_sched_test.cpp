@@ -1,13 +1,15 @@
 // Event-queue and allocator tests for the simulator core
 // (docs/PERFORMANCE.md): the radix-heap EventQueue against a reference
-// priority queue on random schedules, host scheduling between run_until
-// calls, slab reuse under churn, the pool, and the small-buffer-optimized
-// callback types.
+// priority queue on random schedules of thunk and boxed-callback events,
+// host scheduling between run_until calls, slab reuse under churn, boxed
+// callbacks destroyed with their queue, the pool, and the
+// small-buffer-optimized callback types.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <queue>
 #include <stdexcept>
@@ -40,6 +42,9 @@ class ReferenceQueue {
   void schedule(sim::Time t, std::function<void()> fn) {
     heap_.push(Entry{t, seq_++, std::move(fn)});
   }
+  void schedule(sim::Time t, sim::Thunk ev) {
+    schedule(t, [ev] { ev.fn(ev.arg); });
+  }
   bool empty() const { return heap_.empty(); }
   sim::Time pop_and_run() {
     Entry e = heap_.top();
@@ -65,8 +70,11 @@ class ReferenceQueue {
 // (time, event id) sequence. Events reschedule from inside their
 // callbacks; delays are zero, short (1-8 ns) or log-uniform up to
 // 2^40 ns, and every 16th event schedules a burst of 40 at one time.
+// With `thunks`, two events in three are {fn, arg} thunks and the rest
+// boxed callbacks; otherwise every event is a boxed callback.
 template <class Queue>
-std::vector<std::pair<sim::Time, int>> replay(std::uint64_t seed) {
+std::vector<std::pair<sim::Time, int>> replay(std::uint64_t seed,
+                                              bool thunks) {
   Queue q;
   sim::Rng rng(seed);
   std::vector<std::pair<sim::Time, int>> popped;
@@ -84,9 +92,24 @@ std::vector<std::pair<sim::Time, int>> replay(std::uint64_t seed) {
     }
   };
   std::function<void(sim::Time, int)> fire;
+  struct Pending {
+    std::function<void(sim::Time, int)>* fire;
+    sim::Time t;
+    int id;
+  };
+  std::deque<Pending> pending;  // stable addresses for thunk arguments
   auto add = [&](sim::Time t) {
     const int id = next_id++;
-    q.schedule(t, [&fire, t, id] { fire(t, id); });
+    if (thunks && id % 3 != 0) {
+      pending.push_back(Pending{&fire, t, id});
+      q.schedule(t, sim::Thunk{[](void* arg) {
+                                 const auto* p = static_cast<Pending*>(arg);
+                                 (*p->fire)(p->t, p->id);
+                               },
+                               &pending.back()});
+    } else {
+      q.schedule(t, [&fire, t, id] { fire(t, id); });
+    }
   };
   fire = [&](sim::Time now, int id) {
     popped.emplace_back(now, id);
@@ -105,9 +128,12 @@ std::vector<std::pair<sim::Time, int>> replay(std::uint64_t seed) {
 
 TEST(EventQueueOrder, MatchesReferenceOnRandomSchedules) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const auto want = replay<ReferenceQueue>(seed);
-    ASSERT_GT(want.size(), 5000u);
-    EXPECT_EQ(replay<EventQueue>(seed), want) << "seed " << seed;
+    for (const bool thunks : {false, true}) {
+      const auto want = replay<ReferenceQueue>(seed, thunks);
+      ASSERT_GT(want.size(), 5000u);
+      EXPECT_EQ(replay<EventQueue>(seed, thunks), want)
+          << "seed " << seed << (thunks ? ", thunks and boxes" : "");
+    }
   }
 }
 
@@ -183,6 +209,51 @@ TEST(EventQueueStorage, SlabStopsGrowingUnderChurn) {
   for (int r = 0; r < 20; ++r) round();
   EXPECT_EQ(q.slab_capacity(), cap);
   EXPECT_EQ(q.free_slots(), cap);  // drained queue: every slot free
+}
+
+// Counts its live copies; `Pad` bytes of ballast decide whether a
+// Callback keeps it inline or spills it to the pool.
+template <std::size_t Pad>
+struct LiveCounted {
+  int* live;
+  std::array<char, Pad> pad{};
+  explicit LiveCounted(int* l) : live(l) { ++*live; }
+  LiveCounted(const LiveCounted& o) noexcept : live(o.live), pad(o.pad) {
+    ++*live;
+  }
+  LiveCounted& operator=(const LiveCounted&) = delete;
+  ~LiveCounted() { --*live; }
+  void operator()() const {}
+};
+
+TEST(EventQueueStorage, PendingBoxedCallbacksDieWithTheQueue) {
+  int live = 0;
+  {
+    EventQueue q;
+    int thunk_runs = 0;
+    q.schedule(5, LiveCounted<8>{&live});
+    q.schedule(5, sim::Thunk{[](void* n) { ++*static_cast<int*>(n); },
+                             &thunk_runs});
+    q.schedule(7, LiveCounted<200>{&live});        // spilled to the pool
+    q.schedule(sim::Time{1} << 40, LiveCounted<8>{&live});  // high bucket
+    q.schedule(9, sim::Thunk{[](void* n) { ++*static_cast<int*>(n); },
+                             &thunk_runs});
+    EXPECT_EQ(live, 3);
+    EXPECT_EQ(q.pop_and_run(), 5u);  // a box runs and is freed
+    EXPECT_EQ(live, 2);
+    EXPECT_EQ(q.pop_and_run(), 5u);
+    EXPECT_EQ(thunk_runs, 1);
+  }
+  EXPECT_EQ(live, 0);
+  {
+    sim::Simulator sim;
+    sim.schedule_at(10, LiveCounted<8>{&live});
+    sim.schedule_at(20, LiveCounted<200>{&live});
+    sim.schedule_at(30, LiveCounted<8>{&live});
+    EXPECT_EQ(sim.run_until(10), 10u);
+    EXPECT_EQ(live, 2);
+  }
+  EXPECT_EQ(live, 0);
 }
 
 TEST(PoolAllocator, ReusesFreedBlocksWithoutNewChunks) {

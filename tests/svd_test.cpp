@@ -2,6 +2,10 @@
 // single-writer rule, home-only translation and replica consistency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <unordered_map>
 #include <vector>
 
 #include "svd/directory.h"
@@ -184,6 +188,121 @@ TEST(Directory, ExhaustedIndexSpaceThrowsInsteadOfWrapping) {
   dir.add_remote(Handle{kAllPartition, 0xffffffffu}, 64, ObjectKind::kArray);
   EXPECT_THROW(dir.add_local(kAllPartition, 1, ControlBlock{}),
                std::length_error);
+}
+
+bool same_block(const ControlBlock* a, const ControlBlock* b) {
+  if (a == nullptr || b == nullptr) return a == b;
+  return a->kind == b->kind && a->total_bytes == b->total_bytes &&
+         a->local_base == b->local_base && a->local_bytes == b->local_bytes;
+}
+
+// Differential test of the replica's open-addressing tables against a
+// model over std::unordered_map: seeded add_local/add_remote/remove/find
+// across thread partitions and ALL, phases that grow the table through
+// several doublings and then shrink it (so removals land inside probe
+// chains), and announced indices at the top of the index space.
+TEST(Directory, MatchesUnorderedMapModelUnderSeededChurn) {
+  constexpr std::uint32_t kThreads = 6;
+  const std::vector<std::uint32_t> parts = {0, 1, 2, 3, 4, 5, kAllPartition};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    std::mt19937_64 rng(seed);
+    auto below = [&rng](std::uint64_t n) { return rng() % n; };
+    auto random_kind = [&below] { return static_cast<ObjectKind>(below(4)); };
+    Directory dir(kThreads);
+    std::unordered_map<std::uint64_t, ControlBlock> model;
+    std::unordered_map<std::uint32_t, std::uint64_t> next;  // index counters
+    std::unordered_map<std::uint32_t, std::size_t> live;
+    std::vector<std::uint64_t> keys;  // every key ever added
+    std::size_t peak = 0;
+    auto find_in_model = [&model](std::uint64_t key) -> const ControlBlock* {
+      const auto it = model.find(key);
+      return it == model.end() ? nullptr : &it->second;
+    };
+    auto check_all = [&] {
+      for (std::uint64_t key : keys) {
+        ASSERT_TRUE(same_block(dir.find(Handle::unpack(key)),
+                               find_in_model(key)))
+            << "seed " << seed << " key " << key;
+      }
+      for (std::uint32_t p : parts) {
+        ASSERT_EQ(dir.partition_size(p), live[p]) << "partition " << p;
+      }
+    };
+    for (int op = 0; op < 30000; ++op) {
+      const bool growing = (op / 5000) % 2 == 0;
+      const std::uint64_t roll = below(100);
+      const std::uint32_t part = parts[below(parts.size())];
+      if (roll < (growing ? 45u : 15u)) {
+        ControlBlock cb;
+        cb.kind = random_kind();
+        cb.total_bytes = rng();
+        cb.local_base = rng() | 1;
+        cb.local_bytes = below(4096);
+        const ThreadId writer = part == kAllPartition
+                                    ? static_cast<ThreadId>(below(kThreads))
+                                    : part;
+        std::uint64_t& n = next[part];
+        if (n > 0xffffffffu) {
+          EXPECT_THROW(dir.add_local(part, writer, cb), std::length_error);
+          continue;
+        }
+        const Handle h = dir.add_local(part, writer, cb);
+        ASSERT_EQ(h, (Handle{part, static_cast<std::uint32_t>(n)}));
+        ++n;
+        if (model.emplace(h.pack(), cb).second) ++live[part];
+        keys.push_back(h.pack());
+      } else if (roll < (growing ? 70u : 25u)) {
+        // Mostly indices that may collide with live entries; near the end,
+        // now and then the last two indices of the partition.
+        const auto index =
+            op > 25000 && below(20) == 0
+                ? static_cast<std::uint32_t>(0xffffffffu - below(2))
+                : static_cast<std::uint32_t>(below(4096));
+        const Handle h{part, index};
+        ControlBlock cb;
+        cb.kind = random_kind();
+        cb.total_bytes = rng();
+        dir.add_remote(h, cb.total_bytes, cb.kind);
+        std::uint64_t& n = next[part];
+        if (index >= n) n = index + 1ull;
+        if (model.emplace(h.pack(), cb).second) ++live[part];
+        keys.push_back(h.pack());
+      } else if (roll < 85u) {
+        const std::uint64_t key =
+            keys.empty() || below(10) == 0
+                ? Handle{part, static_cast<std::uint32_t>(below(8192))}.pack()
+                : keys[below(keys.size())];
+        const bool present = model.erase(key) == 1;
+        ASSERT_EQ(dir.remove(Handle::unpack(key)), present);
+        if (present) --live[Handle::unpack(key).partition];
+      } else {
+        const std::uint64_t key =
+            keys.empty() || below(4) == 0
+                ? Handle{part, static_cast<std::uint32_t>(below(8192))}.pack()
+                : keys[below(keys.size())];
+        ASSERT_TRUE(same_block(dir.find(Handle::unpack(key)),
+                               find_in_model(key)));
+      }
+      ASSERT_EQ(dir.size(), model.size());
+      peak = std::max(peak, model.size());
+      if (op % 1000 == 999) check_all();
+    }
+    EXPECT_GT(peak, 1000u);  // grew through several doublings
+    // The all-ones key: ALL partition, index 0xffffffff.
+    const Handle top{kAllPartition, 0xffffffffu};
+    if (model.erase(top.pack()) == 1) {
+      ASSERT_TRUE(dir.remove(top));
+      --live[kAllPartition];
+    }
+    dir.add_remote(top, 77, ObjectKind::kLock);
+    ASSERT_NE(dir.find(top), nullptr);
+    EXPECT_EQ(dir.find(top)->total_bytes, 77u);
+    EXPECT_THROW(dir.add_local(kAllPartition, 0, ControlBlock{}),
+                 std::length_error);
+    EXPECT_TRUE(dir.remove(top));
+    EXPECT_EQ(dir.find(top), nullptr);
+    check_all();
+  }
 }
 
 class DirectoryChurnProperty : public ::testing::TestWithParam<int> {};
